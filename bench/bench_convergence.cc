@@ -8,6 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/knowledge_base.h"
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/parser.h"
 
@@ -22,6 +23,8 @@ void Series(const char* title, const char* kb_text, const char* query_text,
   auto query = rwl::logic::ParseFormula(query_text).formula;
   kb.RegisterQuerySymbols(query);
   rwl::engines::ProfileEngine engine;
+  rwl::QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                        /*caching_enabled=*/false);
   std::printf("\n  %s (Pr_inf = %.4f)\n  %-8s", title, limit, "N\\tau");
   const double taus[] = {0.08, 0.04, 0.02};
   for (double tau : taus) std::printf(" %-10.3f", tau);
@@ -30,8 +33,7 @@ void Series(const char* title, const char* kb_text, const char* query_text,
     std::printf("  %-8d", n);
     for (double tau : taus) {
       auto tol = rwl::semantics::ToleranceVector::Uniform(tau);
-      auto r = engine.DegreeAt(kb.vocabulary(), kb.AsFormula(), query, n,
-                               tol);
+      auto r = engine.DegreeAt(ctx, query, n, tol);
       if (r.well_defined) {
         std::printf(" %-10.5f", r.probability);
       } else {
@@ -60,9 +62,10 @@ void BM_ProfileSweepCost(benchmark::State& state) {
   rwl::engines::ProfileEngine engine;
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.04);
   const int n = static_cast<int>(state.range(0));
+  rwl::QueryContext ctx(kb.vocabulary(), kb.AsFormula(),
+                        /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.DegreeAt(kb.vocabulary(), kb.AsFormula(), query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
   state.SetComplexityN(n);
 }

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "src/core/query_context.h"
 #include "src/engines/exact_engine.h"
 #include "src/logic/builder.h"
 #include "src/logic/parser.h"
@@ -214,10 +215,12 @@ void ReportCountingCollapse() {
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.1);
   const int n = 11;  // 2^22 worlds enumerated vs C(14,3) = 364 compositions
   rwl::engines::ExactEngine engine;
+  rwl::QueryContext enum_ctx(vocab, kb_enum, /*caching_enabled=*/false);
+  rwl::QueryContext count_ctx(vocab, kb, /*caching_enabled=*/false);
   using Clock = std::chrono::steady_clock;
 
   auto enum_start = Clock::now();
-  auto enumerated = engine.DegreeAt(vocab, kb_enum, query, n, tol);
+  auto enumerated = engine.DegreeAt(enum_ctx, query, n, tol);
   double enum_s =
       std::chrono::duration<double>(Clock::now() - enum_start).count();
 
@@ -226,7 +229,7 @@ void ReportCountingCollapse() {
   auto count_start = Clock::now();
   rwl::engines::FiniteResult counted;
   for (int i = 0; i < count_iters; ++i) {
-    counted = engine.DegreeAt(vocab, kb, query, n, tol);
+    counted = engine.DegreeAt(count_ctx, query, n, tol);
     benchmark::DoNotOptimize(counted);
   }
   double count_s =
@@ -268,11 +271,12 @@ void ReportThreadScaling() {
   auto tol = rwl::semantics::ToleranceVector::Uniform(0.1);
   const int n = 4;  // 2^(4 + 16) ≈ 1M worlds
 
+  rwl::QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   using Clock = std::chrono::steady_clock;
   auto time_with = [&](int threads) {
     rwl::engines::ExactEngine engine(26.0, threads);
     auto start = Clock::now();
-    benchmark::DoNotOptimize(engine.DegreeAt(vocab, kb, query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
@@ -409,8 +413,9 @@ void BM_ExactEngineSharded(benchmark::State& state) {
   rwl::engines::ExactEngine engine(26.0,
                                    static_cast<int>(state.range(1)));
   const int n = static_cast<int>(state.range(0));
+  rwl::QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.DegreeAt(vocab, kb, query, n, tol));
+    benchmark::DoNotOptimize(engine.DegreeAt(ctx, query, n, tol));
   }
 }
 BENCHMARK(BM_ExactEngineSharded)

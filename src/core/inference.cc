@@ -43,22 +43,20 @@ std::string StatusToString(Answer::Status status) {
 namespace {
 
 // Shared by the sweep strategies: is the engine capable at any N of the
-// schedule?  Goes through the engine's AssessCapability hook so engine
-// subclasses can refine applicability beyond Supports.
-template <typename Engine>
-bool AnySupported(const Engine& engine, const QueryContext& ctx,
+// schedule?
+bool AnySupported(const engines::FiniteEngine& engine, const QueryContext& ctx,
                   const logic::FormulaPtr& query,
                   const std::vector<int>& domain_sizes) {
   for (int n : domain_sizes) {
-    if (engine.AssessCapability(ctx, query, n).applicable) return true;
+    if (engine.Supports(ctx, query, n)) return true;
   }
   return false;
 }
 
 // Shared by the sweep strategies: per-point engine cost summed over the
 // (N, ⃗τ-scale) schedule.
-template <typename Engine>
-engines::CostEstimate SweepCost(const Engine& engine, QueryContext& ctx,
+engines::CostEstimate SweepCost(const engines::FiniteEngine& engine,
+                                QueryContext& ctx,
                                 const logic::FormulaPtr& query,
                                 const std::vector<int>& domain_sizes,
                                 size_t num_scales, double limit_error) {
@@ -257,11 +255,9 @@ class ProfileSweepStrategy : public InferenceStrategy {
               const InferenceOptions& options, Answer* answer) const override {
     if (!options.use_profile) return Outcome::kSkip;
     engines::ProfileEngine profile;
-    bool any_supported = false;
-    for (int n : options.limit.domain_sizes) {
-      any_supported = any_supported || profile.Supports(ctx, query, n);
+    if (!AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
+      return Outcome::kSkip;
     }
-    if (!any_supported) return Outcome::kSkip;
     engines::LimitResult lr = engines::EstimateLimit(
         profile, ctx, query, options.tolerances, options.limit);
     answer->series = lr.series;
@@ -384,16 +380,11 @@ class ExactFallbackStrategy : public InferenceStrategy {
               const InferenceOptions& options, Answer* answer) const override {
     if (!options.use_exact_fallback) return Outcome::kSkip;
     engines::ExactEngine exact;
-    engines::LimitOptions small;
+    engines::LimitOptions small = options.limit;
     small.domain_sizes = SmallSizes();
-    small.tolerance_scales = options.limit.tolerance_scales;
-    small.num_threads = options.limit.num_threads;
-    small.deadline = options.limit.deadline;
-    bool any = false;
-    for (int n : small.domain_sizes) {
-      any = any || exact.Supports(ctx, query, n);
+    if (!AnySupported(exact, ctx, query, small.domain_sizes)) {
+      return Outcome::kSkip;
     }
-    if (!any) return Outcome::kSkip;
     engines::LimitResult lr =
         engines::EstimateLimit(exact, ctx, query, options.tolerances, small);
     answer->series = lr.series;
@@ -469,11 +460,9 @@ class MonteCarloStrategy : public InferenceStrategy {
               const InferenceOptions& options, Answer* answer) const override {
     if (!options.use_montecarlo) return Outcome::kSkip;
     engines::MonteCarloEngine montecarlo = MakeEngine(options);
-    bool any = false;
-    for (int n : options.limit.domain_sizes) {
-      any = any || montecarlo.Supports(ctx, query, n);
+    if (!AnySupported(montecarlo, ctx, query, options.limit.domain_sizes)) {
+      return Outcome::kSkip;
     }
-    if (!any) return Outcome::kSkip;
     engines::LimitResult lr = engines::EstimateLimit(
         montecarlo, ctx, query, options.tolerances, options.limit);
     if (lr.deadline_hit && answer->explanation.empty()) {

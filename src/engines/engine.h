@@ -2,10 +2,11 @@
 // random-worlds limit Pr_∞ (Definition 4.3).
 //
 // A FiniteEngine computes the degree of belief at a *fixed* domain size N
-// and tolerance vector ⃗τ.  EstimateLimit drives a FiniteEngine over a
-// schedule of growing N and shrinking τ (lim_{τ→0} lim_{N→∞}, in that
-// order: for each τ scale the N-limit is estimated first) and reports the
-// common limit when the series converges.
+// and tolerance vector ⃗τ, against the (vocabulary, KB) pair a QueryContext
+// pins.  EstimateLimit drives a FiniteEngine over a schedule of growing N
+// and shrinking τ (lim_{τ→0} lim_{N→∞}, in that order: for each τ scale the
+// N-limit is estimated first) and reports the common limit when the series
+// converges.
 #ifndef RWL_ENGINES_ENGINE_H_
 #define RWL_ENGINES_ENGINE_H_
 
@@ -128,32 +129,26 @@ class FiniteEngine {
 
   virtual std::string name() const = 0;
 
+  // Every engine is called through a QueryContext (core/query_context.h),
+  // which pins the (vocabulary, KB) pair.  A context with caching disabled
+  // is the reference path: the engine recomputes everything from the
+  // vocabulary and KB.  With caching enabled, answers are bit-identical to
+  // that path (the caches only store what the uncached path computes, in
+  // the same order).
+
   // True when this engine can evaluate this (KB, query) pair at domain size
-  // N within its structural limits (vocabulary fragment, cost caps).
-  virtual bool Supports(const logic::Vocabulary& vocabulary,
-                        const logic::FormulaPtr& kb,
-                        const logic::FormulaPtr& query, int domain_size) const = 0;
+  // N within its structural limits (vocabulary fragment, cost caps).  Never
+  // populates the context's caches: the planner's cost models read them.
+  virtual bool Supports(const QueryContext& ctx,
+                        const logic::FormulaPtr& query,
+                        int domain_size) const = 0;
 
-  virtual FiniteResult DegreeAt(const logic::Vocabulary& vocabulary,
-                                const logic::FormulaPtr& kb,
-                                const logic::FormulaPtr& query,
-                                int domain_size,
-                                const semantics::ToleranceVector& tolerances)
-      const = 0;
-
-  // ---- Context-aware entry points (core/query_context.h) ----
-  //
-  // DegreeAt(ctx, ...) memoizes the result in the context under an exact
-  // (engine, options, query id, N, ⃗τ) key and lets engine subclasses share
-  // KB-level work across queries via DegreeAtInContext.  With caching
-  // disabled on the context, answers are bit-identical to the cached path
-  // (the caches only store what the uncached path computes, in the same
-  // order).
+  // Pr_N^τ(φ | KB).  Memoizes the result in the context under an exact
+  // (engine, options, query id, N, ⃗τ) key; engine subclasses share
+  // KB-level work across queries in DegreeAtInContext.
   FiniteResult DegreeAt(QueryContext& ctx, const logic::FormulaPtr& query,
                         int domain_size,
                         const semantics::ToleranceVector& tolerances) const;
-  bool Supports(const QueryContext& ctx, const logic::FormulaPtr& query,
-                int domain_size) const;
 
   // Extra key material for engines whose options change results (priors,
   // sample counts, budgets, ...).
@@ -165,27 +160,24 @@ class FiniteEngine {
     return ResultClass::kDeterministic;
   }
 
-  // ---- Planner hooks ----
+  // ---- Planner hook ----
   //
-  // Applicability and predicted cost of one DegreeAt probe at `domain_size`
-  // (sweep strategies sum probes over their schedule).  The defaults derive
-  // applicability from Supports and an uninformative cost; the concrete
-  // engines override with predictions from the context's cached KB
-  // analyses (profile leaf counts, world-odometer size, compiled-program
-  // length, acceptance-rate estimates).
-  virtual Capability AssessCapability(const QueryContext& ctx,
-                                      const logic::FormulaPtr& query,
-                                      int domain_size) const;
+  // Predicted cost of one DegreeAt probe at `domain_size` (sweep strategies
+  // sum probes over their schedule; applicability is Supports).  The
+  // default is an uninformative cost; the concrete engines override with
+  // predictions from the context's cached KB analyses (profile leaf counts,
+  // world-odometer size, compiled-program length, acceptance-rate
+  // estimates).
   virtual CostEstimate EstimateCost(const QueryContext& ctx,
                                     const logic::FormulaPtr& query,
                                     int domain_size) const;
 
  protected:
-  // Engine-specific context-aware computation (no memo layer).  The default
-  // delegates to the vocabulary/kb form above.
+  // The engine's computation, below the memo layer.  With caching disabled
+  // on the context it computes from the vocabulary and KB alone.
   virtual FiniteResult DegreeAtInContext(
       QueryContext& ctx, const logic::FormulaPtr& query, int domain_size,
-      const semantics::ToleranceVector& tolerances) const;
+      const semantics::ToleranceVector& tolerances) const = 0;
 };
 
 // One evaluated point of the limit sweep.
@@ -244,17 +236,10 @@ struct LimitResult {
   std::vector<SeriesPoint> series;
 };
 
-LimitResult EstimateLimit(const FiniteEngine& engine,
-                          const logic::Vocabulary& vocabulary,
-                          const logic::FormulaPtr& kb,
-                          const logic::FormulaPtr& query,
-                          const semantics::ToleranceVector& base_tolerances,
-                          const LimitOptions& options);
-
-// Context-aware sweep: shares the context's caches across points and
+// The limit sweep.  Shares the context's caches across points and
 // queries, and evaluates the grid on a worker pool when
-// options.num_threads != 1.  Point-for-point identical to the serial,
-// uncontexted overload above.
+// options.num_threads != 1 (point-for-point identical to the serial
+// sweep).
 LimitResult EstimateLimit(const FiniteEngine& engine, QueryContext& ctx,
                           const logic::FormulaPtr& query,
                           const semantics::ToleranceVector& base_tolerances,

@@ -49,26 +49,15 @@ class MaxEntEngine {
     std::string note;
   };
 
-  // Degree of belief with the tolerances fixed at ⃗τ.
-  Result InferAt(const logic::Vocabulary& vocabulary,
-                 const logic::FormulaPtr& kb, const logic::FormulaPtr& query,
+  // Degree of belief with the tolerances fixed at ⃗τ.  The KB extraction
+  // and the entropy solve depend only on (KB, ⃗τ), so with caching enabled
+  // they are cached in the context and shared across every query of a
+  // batch; only the cheap query-conditioning part runs per query.  Answers
+  // do not depend on caching (the solver is deterministic).
+  Result InferAt(QueryContext& ctx, const logic::FormulaPtr& query,
                  const semantics::ToleranceVector& tolerances) const;
 
   // lim_{τ→0}: solve on a schedule of scaled tolerance vectors.
-  LimitResultME InferLimit(const logic::Vocabulary& vocabulary,
-                           const logic::FormulaPtr& kb,
-                           const logic::FormulaPtr& query,
-                           const semantics::ToleranceVector& base_tolerances,
-                           const std::vector<double>& scales = {1.0, 0.3,
-                                                                0.1}) const;
-
-  // Context-aware forms (core/query_context.h): the KB extraction and the
-  // entropy solve depend only on (KB, ⃗τ), so they are cached in the
-  // context and shared across every query of a batch; only the cheap
-  // query-conditioning part runs per query.  Bit-identical to the forms
-  // above (the solver is deterministic).
-  Result InferAt(QueryContext& ctx, const logic::FormulaPtr& query,
-                 const semantics::ToleranceVector& tolerances) const;
   LimitResultME InferLimit(QueryContext& ctx, const logic::FormulaPtr& query,
                            const semantics::ToleranceVector& base_tolerances,
                            const std::vector<double>& scales = {1.0, 0.3,

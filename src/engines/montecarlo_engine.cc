@@ -94,12 +94,11 @@ void SampleShard(const logic::Vocabulary& vocabulary,
 
 }  // namespace
 
-bool MonteCarloEngine::Supports(const logic::Vocabulary& vocabulary,
-                                const logic::FormulaPtr& /*kb*/,
+bool MonteCarloEngine::Supports(const QueryContext& ctx,
                                 const logic::FormulaPtr& /*query*/,
                                 int domain_size) const {
   if (domain_size <= 0) return false;
-  semantics::World probe(&vocabulary, domain_size);
+  semantics::World probe(&ctx.vocabulary(), domain_size);
   return probe.TotalPredicateCells() + probe.TotalFunctionCells() <=
          options_.max_cells;
 }
@@ -155,15 +154,6 @@ FiniteResult MonteCarloEngine::Sample(
       satisfying > 0 ? std::log(static_cast<double>(satisfying)) : kNegInf;
   result.log_denominator = std::log(static_cast<double>(accepted));
   return result;
-}
-
-FiniteResult MonteCarloEngine::DegreeAt(
-    const logic::Vocabulary& vocabulary, const logic::FormulaPtr& kb,
-    const logic::FormulaPtr& query, int domain_size,
-    const semantics::ToleranceVector& tolerances) const {
-  return Sample(vocabulary, semantics::CompileFormula(kb, vocabulary),
-                semantics::CompileFormula(query, vocabulary), domain_size,
-                tolerances);
 }
 
 FiniteResult MonteCarloEngine::DegreeAtInContext(

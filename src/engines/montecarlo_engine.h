@@ -46,19 +46,8 @@ class MonteCarloEngine : public FiniteEngine {
 
   std::string name() const override { return "montecarlo"; }
 
-  // Un-hide the context-aware overloads.
-  using FiniteEngine::DegreeAt;
-  using FiniteEngine::Supports;
-
-  bool Supports(const logic::Vocabulary& vocabulary,
-                const logic::FormulaPtr& kb, const logic::FormulaPtr& query,
+  bool Supports(const QueryContext& ctx, const logic::FormulaPtr& query,
                 int domain_size) const override;
-
-  FiniteResult DegreeAt(const logic::Vocabulary& vocabulary,
-                        const logic::FormulaPtr& kb,
-                        const logic::FormulaPtr& query, int domain_size,
-                        const semantics::ToleranceVector& tolerances)
-      const override;
 
   // Sampling is deterministic in (options, N, ⃗τ, query), so results are
   // safe to memoize; the salt pins the options.
@@ -90,8 +79,8 @@ class MonteCarloEngine : public FiniteEngine {
   }
 
  protected:
-  // Context path: reuses the context's compiled programs for the KB and
-  // query instead of recompiling per (N, ⃗τ) point.
+  // Samples against the context's compiled programs for the KB and query
+  // (with caching enabled, compiled once instead of per (N, ⃗τ) point).
   FiniteResult DegreeAtInContext(QueryContext& ctx,
                                  const logic::FormulaPtr& query,
                                  int domain_size,

@@ -102,6 +102,24 @@ class Lexer {
       // Don't swallow a trailing '.' that is actually a quantifier dot;
       // numbers never end in '.' in this grammar.
       if (input_[pos_ - 1] == '.') --pos_;
+      // An exponent, as the printer's %.17g emits for small and large
+      // values; only when a digit follows the optional sign.
+      if (pos_ < input_.size() &&
+          (input_[pos_] == 'e' || input_[pos_] == 'E')) {
+        size_t digits = pos_ + 1;
+        if (digits < input_.size() &&
+            (input_[digits] == '+' || input_[digits] == '-')) {
+          ++digits;
+        }
+        if (digits < input_.size() &&
+            std::isdigit(static_cast<unsigned char>(input_[digits]))) {
+          pos_ = digits;
+          while (pos_ < input_.size() &&
+                 std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
+            ++pos_;
+          }
+        }
+      }
       current_.kind = Tok::kNumber;
       std::string text(input_.substr(start, pos_ - start));
       current_.number = std::strtod(text.c_str(), nullptr);

@@ -29,8 +29,8 @@ namespace {
 using engines::FiniteEngine;
 using engines::FiniteResult;
 
-// Bit-level equality: the context path (memo / record-replay) is required
-// to reproduce the direct computation exactly, not just approximately.
+// Bit-level equality: the caching path (memo / record-replay) is required
+// to reproduce the caching-off computation exactly, not just approximately.
 bool BitIdentical(const FiniteResult& a, const FiniteResult& b) {
   return a.well_defined == b.well_defined && a.exhausted == b.exhausted &&
          a.probability == b.probability &&
@@ -900,41 +900,42 @@ DifferentialReport RunDifferential(
   if (options.check_vm) RunVmCheck(scenario, options, &report);
 
   // ---- finite + context checks ----
+  // The caching-off context is the reference computation; the caching-on
+  // one must reproduce it bit for bit.
+  QueryContext reference(scenario.vocabulary, scenario.kb,
+                         /*caching_enabled=*/false);
   QueryContext ctx(scenario.vocabulary, scenario.kb,
                    /*caching_enabled=*/true);
   for (const auto& query : scenario.queries) {
     for (int n : options.domain_sizes) {
       struct Run {
         const FiniteEngine* engine;
-        FiniteResult direct;
+        FiniteResult uncached;
       };
       std::vector<Run> runs;
       for (const FiniteEngine* engine : engines) {
-        if (!engine->Supports(scenario.vocabulary, scenario.kb, query, n)) {
-          continue;
-        }
-        FiniteResult direct = engine->DegreeAt(scenario.vocabulary,
-                                               scenario.kb, query, n,
-                                               options.tolerances);
+        if (!engine->Supports(reference, query, n)) continue;
+        FiniteResult uncached =
+            engine->DegreeAt(reference, query, n, options.tolerances);
         FiniteResult via_context =
             engine->DegreeAt(ctx, query, n, options.tolerances);
         ++report.comparisons;
-        if (!BitIdentical(direct, via_context)) {
+        if (!BitIdentical(uncached, via_context)) {
           report.disagreements.push_back(Disagreement{
               "context", engine->name(), engine->name() + "+ctx", query, n,
-              "context path diverged from direct computation  [" +
-                  engines::ToString(direct) + " vs " +
+              "cached context diverged from the caching-off reference  [" +
+                  engines::ToString(uncached) + " vs " +
                   engines::ToString(via_context) + "]"});
         }
-        runs.push_back(Run{engine, direct});
+        runs.push_back(Run{engine, uncached});
       }
       for (size_t i = 0; i < runs.size(); ++i) {
         for (size_t j = i + 1; j < runs.size(); ++j) {
           ++report.comparisons;
           std::string why;
           if (!engines::ResultsEquivalent(
-                  runs[i].direct, runs[i].engine->result_class(),
-                  runs[j].direct, runs[j].engine->result_class(),
+                  runs[i].uncached, runs[i].engine->result_class(),
+                  runs[j].uncached, runs[j].engine->result_class(),
                   options.finite_tolerance, &why)) {
             report.disagreements.push_back(
                 Disagreement{"finite", runs[i].engine->name(),
@@ -1008,7 +1009,7 @@ DifferentialReport RunDifferential(
       // Through the shared context: the entropy solve depends only on
       // (KB, ⃗τ) and the profile world lists only on (N, ⃗τ), so the whole
       // check is amortized across the query batch (and stays bit-identical
-      // to the uncontexted forms).
+      // to a caching-off context).
       engines::MaxEntEngine::LimitResultME limit =
           maxent.InferLimit(ctx, query, options.tolerances);
       if (!limit.supported || !limit.converged) continue;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/engines/symbolic_engine.h"
 #include "src/logic/printer.h"
@@ -23,7 +24,11 @@ TEST_P(ChainSweep, SymbolicReturnsTightestInterval) {
   engines::SymbolicEngine engine;
   for (int trial = 0; trial < 25; ++trial) {
     workload::ChainKb chain = workload::RandomChainKb(GetParam(), &rng);
-    engines::SymbolicAnswer answer = engine.Infer(chain.kb, chain.query);
+    logic::Vocabulary vocab;
+    logic::RegisterSymbols(chain.kb, &vocab);
+    logic::RegisterSymbols(chain.query, &vocab);
+    QueryContext ctx(vocab, chain.kb, /*caching_enabled=*/false);
+    engines::SymbolicAnswer answer = engine.Infer(ctx, chain.query);
     ASSERT_EQ(answer.status, engines::SymbolicAnswer::Status::kInterval)
         << logic::ToString(chain.kb);
     EXPECT_NEAR(answer.lo, chain.tightest_lo, 1e-12)
@@ -59,7 +64,8 @@ TEST(ChainNumeric, ProfileEstimateInsideTheInterval) {
     logic::Vocabulary vocab;
     logic::RegisterSymbols(chain.kb, &vocab);
     logic::RegisterSymbols(chain.query, &vocab);
-    auto r = profile.DegreeAt(vocab, chain.kb, chain.query, 20, tol);
+    QueryContext ctx(vocab, chain.kb, /*caching_enabled=*/false);
+    auto r = profile.DegreeAt(ctx, chain.query, 20, tol);
     if (!r.well_defined) continue;
     ++checked;
     EXPECT_GE(r.probability, chain.tightest_lo - 0.08)

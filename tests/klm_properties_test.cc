@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/defaults/klm.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
@@ -105,9 +106,10 @@ TEST(KlmFixture, BrokenArmExample) {
   engines::ProfileEngine engine;
   semantics::ToleranceVector tol = semantics::ToleranceVector::Uniform(0.04);
   const int n = 40;
+  QueryContext ctx(vocab, kb_arm, /*caching_enabled=*/false);
 
   auto pr = [&](const FormulaPtr& q) {
-    auto r = engine.DegreeAt(vocab, kb_arm, q, n, tol);
+    auto r = engine.DegreeAt(ctx, q, n, tol);
     EXPECT_TRUE(r.well_defined);
     return r.probability;
   };

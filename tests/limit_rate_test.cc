@@ -5,6 +5,7 @@
 // unchanged point for point.
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/engine.h"
 #include "src/engines/exact_engine.h"
 #include "src/logic/builder.h"
@@ -38,12 +39,13 @@ TEST(RateAwareEarlyExit, SkipsTailPointsOnAConvergedSeries) {
   FormulaPtr kb = P("P", C("K"));
   FormulaPtr query = P("P", C("K"));
   ExactEngine exact;
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
 
-  LimitResult full = EstimateLimit(exact, vocab, kb, query, Tol(0.1),
+  LimitResult full = EstimateLimit(exact, ctx, query, Tol(0.1),
                                    SweepOptions());
   LimitOptions early_options = SweepOptions();
   early_options.rate_aware_early_exit = true;
-  LimitResult early = EstimateLimit(exact, vocab, kb, query, Tol(0.1),
+  LimitResult early = EstimateLimit(exact, ctx, query, Tol(0.1),
                                     early_options);
 
   ASSERT_TRUE(full.value.has_value());
@@ -64,12 +66,13 @@ TEST(RateAwareEarlyExit, LeavesNonContractingSeriesUntouched) {
   FormulaPtr kb = Formula::True();
   FormulaPtr query = Formula::Exists("x", P("P", V("x")));
   ExactEngine exact;
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
 
-  LimitResult full = EstimateLimit(exact, vocab, kb, query, Tol(0.1),
+  LimitResult full = EstimateLimit(exact, ctx, query, Tol(0.1),
                                    SweepOptions());
   LimitOptions early_options = SweepOptions();
   early_options.rate_aware_early_exit = true;
-  LimitResult early = EstimateLimit(exact, vocab, kb, query, Tol(0.1),
+  LimitResult early = EstimateLimit(exact, ctx, query, Tol(0.1),
                                     early_options);
 
   ASSERT_EQ(full.series.size(), early.series.size());
@@ -88,6 +91,7 @@ TEST(RateAwareEarlyExit, GeometricContractionStopsWithinTolerance) {
   FormulaPtr kb = Formula::True();
   FormulaPtr query = Formula::Exists("x", P("P", V("x")));
   ExactEngine exact;
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
 
   // With a loose epsilon the 2^{−N} deltas (ratio 1/2, tail = delta) fall
   // inside the bound early; the skipped points may not move the estimate
@@ -95,11 +99,11 @@ TEST(RateAwareEarlyExit, GeometricContractionStopsWithinTolerance) {
   LimitOptions early_options = SweepOptions();
   early_options.rate_aware_early_exit = true;
   early_options.convergence_epsilon = 0.15;
-  LimitResult early = EstimateLimit(exact, vocab, kb, query, Tol(0.1),
+  LimitResult early = EstimateLimit(exact, ctx, query, Tol(0.1),
                                     early_options);
   LimitOptions full_options = SweepOptions();
   full_options.convergence_epsilon = 0.15;
-  LimitResult full = EstimateLimit(exact, vocab, kb, query, Tol(0.1),
+  LimitResult full = EstimateLimit(exact, ctx, query, Tol(0.1),
                                    full_options);
 
   ASSERT_TRUE(early.value.has_value());

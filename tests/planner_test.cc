@@ -186,6 +186,22 @@ TEST(PlannerTest, ForcedAnswersMatchPlannerAnswer) {
   }
 }
 
+TEST(PlannerTest, ForcedExactHonorsTheCallersLimitOptions) {
+  // The exact strategy sweeps its own small N schedule but keeps every
+  // other LimitOptions field: with a loose convergence epsilon, no delta of
+  // the series exceeds it, so the sweep converges.
+  KnowledgeBase kb;
+  InferenceOptions options;
+  options.force_engine = "exact";
+  options.limit.convergence_epsilon = 0.9;
+  Answer answer = DegreeOfBelief(kb, "#(P(x))[x] ~= 0.5", options);
+  ASSERT_EQ(answer.status, Answer::Status::kPoint) << answer.explanation;
+  EXPECT_NE(answer.method.find("exact"), std::string::npos) << answer.method;
+  ASSERT_FALSE(answer.series.empty());
+  EXPECT_LE(answer.series.back().domain_size, 6);
+  EXPECT_TRUE(answer.converged);
+}
+
 TEST(PlannerTest, WorkBudgetSkipsExpensiveCandidates) {
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();

@@ -85,6 +85,10 @@ TEST(PrinterRoundTrip, HandWrittenEdgeCases) {
       // Exact connectives (L= fragment).
       Formula::Compare(Prop(P("A", x), {"x"}), CompareOp::kLeq, Num(0.5)),
       Formula::Compare(Prop(P("A", x), {"x"}), CompareOp::kEq, Num(0.125)),
+      // Values %.17g prints in exponent form.
+      ApproxEq(Prop(P("A", x), {"x"}), 2.6e-05, 1),
+      Formula::Compare(Prop(P("A", x), {"x"}), CompareOp::kLeq, Num(1e-05)),
+      Formula::Compare(Prop(P("A", x), {"x"}), CompareOp::kGeq, Num(1e-300)),
   };
   for (const auto& f : cases) ExpectRoundTrip(f);
 }

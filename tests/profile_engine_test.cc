@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/logic/builder.h"
 
 namespace rwl::engines {
@@ -26,27 +27,30 @@ TEST(ProfileEngine, SupportsOnlyUnaryRelational) {
   logic::Vocabulary unary;
   unary.AddPredicate("A", 1);
   unary.AddConstant("K");
-  EXPECT_TRUE(engine.Supports(unary, Formula::True(), Formula::True(), 16));
+  QueryContext unary_ctx(unary, Formula::True(), /*caching_enabled=*/false);
+  EXPECT_TRUE(engine.Supports(unary_ctx, Formula::True(), 16));
 
   logic::Vocabulary binary;
   binary.AddPredicate("R", 2);
-  EXPECT_FALSE(engine.Supports(binary, Formula::True(), Formula::True(), 16));
+  QueryContext binary_ctx(binary, Formula::True(), /*caching_enabled=*/false);
+  EXPECT_FALSE(engine.Supports(binary_ctx, Formula::True(), 16));
 
   logic::Vocabulary functional;
   functional.AddPredicate("A", 1);
   functional.AddFunction("F", 1);
-  EXPECT_FALSE(
-      engine.Supports(functional, Formula::True(), Formula::True(), 16));
+  QueryContext functional_ctx(functional, Formula::True(),
+                              /*caching_enabled=*/false);
+  EXPECT_FALSE(engine.Supports(functional_ctx, Formula::True(), 16));
 }
 
 TEST(ProfileEngine, TrivialPriorIsHalf) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("White", 1);
   vocab.AddConstant("B");
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   ProfileEngine engine;
   for (int n : {1, 4, 16, 64}) {
-    FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                     P("White", C("B")), n, Tol(0.1));
+    FiniteResult r = engine.DegreeAt(ctx, P("White", C("B")), n, Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     EXPECT_NEAR(r.probability, 0.5, 1e-9) << "N=" << n;
   }
@@ -62,9 +66,9 @@ TEST(ProfileEngine, DirectInferenceAtLargeN) {
       P("Jaun", C("Eric")),
       logic::ApproxEq(CondProp(P("Hep", V("x")), P("Jaun", V("x")), {"x"}),
                       0.8, 1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, P("Hep", C("Eric")), 60,
-                                   Tol(0.05));
+  FiniteResult r = engine.DegreeAt(ctx, P("Hep", C("Eric")), 60, Tol(0.05));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.8, 0.03);
 }
@@ -73,9 +77,9 @@ TEST(ProfileEngine, WorldCountMatchesClosedForm) {
   // KB = true over one predicate: total worlds = 2^N.
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), Formula::True(),
-                                   10, Tol(0.1));
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 10, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.log_denominator, 10 * std::log(2.0), 1e-9);
 }
@@ -85,9 +89,9 @@ TEST(ProfileEngine, WorldCountWithConstant) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
   vocab.AddConstant("K");
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), Formula::True(),
-                                   8, Tol(0.1));
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 8, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.log_denominator, 8 * std::log(2.0) + std::log(8.0), 1e-9);
 }
@@ -99,8 +103,9 @@ TEST(ProfileEngine, TaxonomyPruningMatchesSemantics) {
   vocab.AddPredicate("Penguin", 1);
   FormulaPtr kb = Formula::ForAll(
       "x", Formula::Implies(P("Penguin", V("x")), P("Bird", V("x"))));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, Formula::True(), 6, Tol(0.1));
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 6, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   // Each element independently: 3 allowed atoms of 4 → 3^6 worlds.
   EXPECT_NEAR(r.log_denominator, 6 * std::log(3.0), 1e-9);
@@ -111,8 +116,9 @@ TEST(ProfileEngine, UnsatisfiableIsUndefined) {
   vocab.AddPredicate("A", 1);
   FormulaPtr kb = Formula::And(Formula::Exists("x", P("A", V("x"))),
                                Formula::ForAll("x", Formula::Not(P("A", V("x")))));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, Formula::True(), 8, Tol(0.1));
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 8, Tol(0.1));
   EXPECT_FALSE(r.well_defined);
 }
 
@@ -122,11 +128,11 @@ TEST(ProfileEngine, EqualityBetweenConstants) {
   vocab.AddConstant("C2");
   // With an empty predicate set there is a single atom; placements encode
   // only coincidence.  Pr(C1 = C2) = 1/N.
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   ProfileEngine engine;
   for (int n : {2, 5, 10}) {
-    FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                     logic::Eq(C("C1"), C("C2")), n,
-                                     Tol(0.1));
+    FiniteResult r =
+        engine.DegreeAt(ctx, logic::Eq(C("C1"), C("C2")), n, Tol(0.1));
     ASSERT_TRUE(r.well_defined);
     EXPECT_NEAR(r.probability, 1.0 / n, 1e-9) << "N=" << n;
   }
@@ -141,9 +147,9 @@ TEST(ProfileEngine, DefaultsConcentrate) {
   FormulaPtr kb = Formula::And(
       P("Bird", C("Tweety")),
       logic::Default(P("Bird", V("x")), P("Fly", V("x")), {"x"}));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, kb, P("Fly", C("Tweety")), 80,
-                                   Tol(0.02));
+  FiniteResult r = engine.DegreeAt(ctx, P("Fly", C("Tweety")), 80, Tol(0.02));
   ASSERT_TRUE(r.well_defined);
   EXPECT_GT(r.probability, 0.95);
 }
@@ -152,10 +158,10 @@ TEST(ProfileEngine, ExistentialQuantifierOverProfiles) {
   // Pr(∃x A(x)) = 1 - 2^-N.
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   ProfileEngine engine;
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(),
-                                   Formula::Exists("x", P("A", V("x"))), 6,
-                                   Tol(0.1));
+  FiniteResult r = engine.DegreeAt(ctx, Formula::Exists("x", P("A", V("x"))),
+                                   6, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 1.0 - std::pow(2.0, -6), 1e-9);
 }
@@ -168,8 +174,8 @@ TEST(ProfileEngine, TwoVariableProportionQuery) {
   FormulaPtr query = Formula::Compare(
       Prop(Formula::And(P("A", V("x")), P("A", V("y"))), {"x", "y"}),
       logic::CompareOp::kLeq, logic::Num(1.0));
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), query, 6,
-                                   Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, query, 6, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 1.0, 1e-12);
 }
@@ -181,8 +187,8 @@ TEST(ProfileEngine, BudgetExhaustionReported) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
   vocab.AddPredicate("B", 1);
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), Formula::True(),
-                                   32, Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult r = engine.DegreeAt(ctx, Formula::True(), 32, Tol(0.1));
   EXPECT_TRUE(r.exhausted);
   EXPECT_FALSE(r.well_defined);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/query_context.h"
 #include "src/engines/profile_engine.h"
 #include "src/logic/builder.h"
 
@@ -33,9 +34,9 @@ TEST(Propensities, PriorProbabilityOfPredicateIsHalfBySymmetry) {
   logic::Vocabulary vocab;
   vocab.AddPredicate("A", 1);
   vocab.AddConstant("K");
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
   ProfileEngine engine = Propensities();
-  FiniteResult r = engine.DegreeAt(vocab, Formula::True(), P("A", C("K")),
-                                   12, Tol(0.1));
+  FiniteResult r = engine.DegreeAt(ctx, P("A", C("K")), 12, Tol(0.1));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.5, 1e-9);
 }
@@ -51,10 +52,9 @@ TEST(Propensities, WorldCountBecomesUniformOverFrequencies) {
   ProfileEngine uniform;
   FormulaPtr none = Formula::Not(Formula::Exists("x", P("A", V("x"))));
   const int n = 10;
-  FiniteResult rp = propensities.DegreeAt(vocab, Formula::True(), none, n,
-                                          Tol(0.1));
-  FiniteResult ru = uniform.DegreeAt(vocab, Formula::True(), none, n,
-                                     Tol(0.1));
+  QueryContext ctx(vocab, Formula::True(), /*caching_enabled=*/false);
+  FiniteResult rp = propensities.DegreeAt(ctx, none, n, Tol(0.1));
+  FiniteResult ru = uniform.DegreeAt(ctx, none, n, Tol(0.1));
   ASSERT_TRUE(rp.well_defined);
   EXPECT_NEAR(rp.probability, 1.0 / (n + 1), 1e-9);
   EXPECT_NEAR(ru.probability, std::pow(2.0, -n), 1e-12);
@@ -83,15 +83,16 @@ TEST(Propensities, LearnsFromSamples) {
   });
   FormulaPtr query = P("Fly", C("Tweety"));
   const int n = 24;
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
 
   ProfileEngine uniform;
-  FiniteResult rw = uniform.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  FiniteResult rw = uniform.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(rw.well_defined);
   // Random worlds: the unsampled birds are an unrelated population.
   EXPECT_NEAR(rw.probability, 0.5, 0.1);
 
   ProfileEngine propensities = Propensities();
-  FiniteResult pr = propensities.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  FiniteResult pr = propensities.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(pr.well_defined);
   // Random propensities: the Fly propensity itself was learned.
   EXPECT_GT(pr.probability, 0.75);
@@ -113,14 +114,15 @@ TEST(Propensities, OverlearnsFromUniversals) {
   });
   FormulaPtr query = P("Tall", C("Rock"));
   const int n = 20;
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
 
   ProfileEngine uniform;
-  FiniteResult rw = uniform.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  FiniteResult rw = uniform.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(rw.well_defined);
   EXPECT_NEAR(rw.probability, 0.5, 0.08);  // random worlds: unaffected
 
   ProfileEngine propensities = Propensities();
-  FiniteResult pr = propensities.DegreeAt(vocab, kb, query, n, Tol(0.05));
+  FiniteResult pr = propensities.DegreeAt(ctx, query, n, Tol(0.05));
   ASSERT_TRUE(pr.well_defined);
   EXPECT_GT(pr.probability, 0.6);  // propensities: contaminated
 }
@@ -135,9 +137,10 @@ TEST(Propensities, DirectInferenceStillHolds) {
       P("Jaun", C("Eric")),
       logic::ApproxEq(CondProp(P("Hep", V("x")), P("Jaun", V("x")), {"x"}),
                       0.8, 1));
+  QueryContext ctx(vocab, kb, /*caching_enabled=*/false);
   ProfileEngine propensities = Propensities();
-  FiniteResult r = propensities.DegreeAt(vocab, kb, P("Hep", C("Eric")), 48,
-                                         Tol(0.04));
+  FiniteResult r =
+      propensities.DegreeAt(ctx, P("Hep", C("Eric")), 48, Tol(0.04));
   ASSERT_TRUE(r.well_defined);
   EXPECT_NEAR(r.probability, 0.8, 0.05);
 }

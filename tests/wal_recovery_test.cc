@@ -362,6 +362,52 @@ TEST(WalRecoveryTest, SnapshotTruncationPreservesRecoveredState) {
   ExpectServicesAgree(&oracle, &recovered, "kb", "after truncation");
 }
 
+TEST(WalRecoveryTest, SnapshotOfExponentFormNumberRecovers) {
+  // 0.000026 prints as 2.5999999999999998e-05; the snapshot holds the
+  // printed KB, so recovery must re-read the exponent form.
+  const char kSmallKb[] =
+      "#(P(x))[x] ~= 0.000026\n"
+      "#(Q(x) ; P(x))[x] ~= 0.8\n"
+      "P(C0)\n"
+      "Q(C1)\n";
+  TempDir dir;
+  const int kMutations = 4;
+  {
+    ServiceOptions options = SmallServiceOptions();
+    options.wal.dir = dir.path;
+    options.wal.snapshot_every = 2;
+    KbService durable(options);
+    std::vector<std::string> warnings;
+    std::string error;
+    ASSERT_TRUE(durable.Recover(&warnings, &error));
+    ASSERT_TRUE(durable.Load("kb", kSmallKb, DeclareMarkers(kMutations)).ok);
+    for (int i = 0; i < kMutations; ++i) {
+      ASSERT_TRUE(durable.Assert("kb", Marker(i)).ok);
+    }
+    for (int spin = 0; spin < 500 && durable.wal()->stats().snapshots == 0;
+         ++spin) {
+      ::usleep(10 * 1000);
+    }
+    ASSERT_GE(durable.wal()->stats().snapshots, 1u)
+        << "snapshot worker never fired";
+  }
+
+  ServiceOptions options = SmallServiceOptions();
+  options.wal.dir = dir.path;
+  KbService recovered(options);
+  std::vector<std::string> warnings;
+  std::string error;
+  ASSERT_TRUE(recovered.Recover(&warnings, &error)) << error;
+  for (const std::string& warning : warnings) ADD_FAILURE() << warning;
+
+  KbService oracle(SmallServiceOptions());
+  ASSERT_TRUE(oracle.Load("kb", kSmallKb, DeclareMarkers(kMutations)).ok);
+  for (int i = 0; i < kMutations; ++i) {
+    ASSERT_TRUE(oracle.Assert("kb", Marker(i)).ok);
+  }
+  ExpectServicesAgree(&oracle, &recovered, "kb", "after snapshot recovery");
+}
+
 // ---- 5. the 775 ms stall regression: acks never wait on maintenance ----
 
 TEST(WalRecoveryTest, AcksNeverBlockOnThePausedMaintenanceQueue) {
