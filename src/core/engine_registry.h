@@ -1,11 +1,9 @@
 // EngineRegistry: the registered inference strategies behind
 // DegreeOfBelief, routed by the cost-based planner (core/planner.h).
 //
-// The seed hard-coded its engine routing as one long function; PR 1 made
-// the pipeline data (a priority-ordered strategy list); this revision makes
-// the routing a *decision*.  A strategy wraps one way of answering a query
-// (a theorem engine, a finite-N sweep, a closed-form limit, ...) behind a
-// uniform three-way contract:
+// A strategy wraps one way of answering a query (a theorem engine, a
+// finite-N sweep, a closed-form limit, ...) behind a uniform three-way
+// contract:
 //
 //   kFinal   — the answer is finalized, stop,
 //   kPartial — the answer was improved (e.g. a sound symbolic interval
@@ -22,10 +20,13 @@
 //
 // Registration priority doubles as the fidelity rank: lower priority =
 // preferred at equal applicability.  The default registry is seeded in the
-// paper's preference order: fixed-N (footnote 9), symbolic theorems,
-// profile sweep, maximum entropy, exact-enumeration fallback, and the
-// opt-in Monte-Carlo sweep.  Callers may register additional strategies;
-// registration is thread-safe.
+// paper's preference order: fixed-N (footnote 9), calibrated intervals,
+// symbolic theorems, the profile sweep, the defaults family, evidence
+// combination, maximum entropy, the exact-enumeration sweep, and the
+// opt-in Monte-Carlo sweep.  The three sweeps are one SweepStrategy
+// (core/inference.cc) registered from three data rows that differ in
+// engine, N schedule, labels and error floor.  Callers may register
+// additional strategies; registration is thread-safe.
 #ifndef RWL_CORE_ENGINE_REGISTRY_H_
 #define RWL_CORE_ENGINE_REGISTRY_H_
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -42,50 +43,234 @@ std::string StatusToString(Answer::Status status) {
 
 namespace {
 
-// Shared by the sweep strategies: is the engine capable at any N of the
-// schedule?
-bool AnySupported(const engines::FiniteEngine& engine, const QueryContext& ctx,
-                  const logic::FormulaPtr& query,
-                  const std::vector<int>& domain_sizes) {
-  for (int n : domain_sizes) {
-    if (engine.Supports(ctx, query, n)) return true;
-  }
-  return false;
+// Writes a point answer.  A strategy that sharpens an earlier partial
+// answer (a symbolic interval) is credited after it, under
+// `appended_method` when one is given.
+void SetPoint(Answer* answer, double value, bool converged,
+              const std::string& method,
+              const std::string& appended_method = "") {
+  answer->status = Answer::Status::kPoint;
+  answer->value = value;
+  answer->lo = answer->hi = value;
+  const std::string& label =
+      appended_method.empty() ? method : appended_method;
+  answer->method =
+      answer->method.empty() ? method : answer->method + " + " + label;
+  answer->converged = converged;
 }
 
-// Shared by the sweep strategies: per-point engine cost summed over the
-// (N, ⃗τ-scale) schedule.
-engines::CostEstimate SweepCost(const engines::FiniteEngine& engine,
-                                QueryContext& ctx,
-                                const logic::FormulaPtr& query,
-                                const std::vector<int>& domain_sizes,
-                                size_t num_scales, double limit_error) {
-  engines::CostEstimate total;
-  total.error = limit_error;
-  // The basis describes the dominant (most expensive) probe — the one a
-  // reader should reconcile the work figure against.
-  double dominant_work = -1.0;
-  for (int n : domain_sizes) {
-    if (!engine.Supports(ctx, query, n)) continue;
-    engines::CostEstimate point = engine.EstimateCost(ctx, query, n);
-    total.work += point.work * static_cast<double>(num_scales);
-    total.error = std::max(total.error, point.error);
-    if (point.work > dominant_work) {
-      dominant_work = point.work;
-      total.basis = point.basis;
-    }
-  }
-  if (!total.basis.empty()) {
-    total.basis += " at the largest N; work summed over the sweep schedule";
-  }
-  return total;
+// ---- The sweep strategies ----
+//
+// Profile, exact and Monte-Carlo answer alike: sweep one finite engine
+// over the (N, ⃗τ) schedule and read the limit off the series
+// (engines::EstimateLimit).  One SweepStrategy class does it for all
+// three; what differs between them is the data of a SweepRow.
+struct SweepRow {
+  std::string name;
+  bool InferenceOptions::*enabled;
+  std::unique_ptr<engines::FiniteEngine> (*make_engine)(
+      const InferenceOptions&);
+  // The N schedule; empty sweeps the caller's options.limit.domain_sizes.
+  std::vector<int> domain_sizes = {};
+  std::string disabled_reason;
+  std::string applicable_reason;
+  std::string inapplicable_reason;
+  // Explanation for a sweep cut short by the engine's work budget (none
+  // when empty).
+  std::string exhausted_explanation = "";
+  std::string method;
+  // The label credited after an earlier partial answer.
+  std::string appended_method = "";
+  // Lower bound on the predicted error.
+  double error_floor = 0.0;
+  // Whether a fully evaluated sweep that never met a world answers
+  // kUndefined (otherwise it falls through like a sweep with no point).
+  bool undefined_when_never_defined = false;
+  // A statistical sweep that yields no point keeps an earlier engine's
+  // series.
+  engines::ResultClass result_class = engines::ResultClass::kDeterministic;
+};
+
+template <typename Engine>
+std::unique_ptr<engines::FiniteEngine> MakeEngine(const InferenceOptions&) {
+  return std::make_unique<Engine>();
 }
+
+// The sampling-error budget of InferenceOptions maps onto the engine's
+// sample count; everything else stays at the engine defaults (and is
+// pinned into the memo key by the engine's CacheSalt).
+std::unique_ptr<engines::FiniteEngine> MakeMonteCarloEngine(
+    const InferenceOptions& options) {
+  engines::MonteCarloEngine::Options mc;
+  if (options.montecarlo_samples > 0) {
+    mc.num_samples = options.montecarlo_samples;
+  }
+  return std::make_unique<engines::MonteCarloEngine>(mc);
+}
+
+class SweepStrategy : public InferenceStrategy {
+ public:
+  explicit SweepStrategy(SweepRow row) : row_(std::move(row)) {}
+
+  std::string name() const override { return row_.name; }
+
+  engines::ResultClass result_class() const override {
+    return row_.result_class;
+  }
+
+  const std::vector<int>& Schedule(const InferenceOptions& options) const {
+    return row_.domain_sizes.empty() ? options.limit.domain_sizes
+                                     : row_.domain_sizes;
+  }
+
+  // The row's engine when the row is enabled and the engine supports some
+  // N of `domain_sizes`; null otherwise.
+  std::unique_ptr<engines::FiniteEngine> EngineFor(
+      const QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& options,
+      std::span<const int> domain_sizes) const {
+    if (!(options.*row_.enabled)) return nullptr;
+    std::unique_ptr<engines::FiniteEngine> engine = row_.make_engine(options);
+    for (int n : domain_sizes) {
+      if (engine->Supports(ctx, query, n)) return engine;
+    }
+    return nullptr;
+  }
+
+  // Sweeps `engine` over the row's schedule; every other limit option is
+  // the caller's.
+  engines::LimitResult Sweep(const engines::FiniteEngine& engine,
+                             QueryContext& ctx,
+                             const logic::FormulaPtr& query,
+                             const InferenceOptions& options) const {
+    engines::LimitOptions limit = options.limit;
+    limit.domain_sizes = Schedule(options);
+    return engines::EstimateLimit(engine, ctx, query, options.tolerances,
+                                  limit);
+  }
+
+  engines::Capability Assess(QueryContext& ctx,
+                             const logic::FormulaPtr& query,
+                             const InferenceOptions& options) const override {
+    engines::Capability cap =
+        engines::DescribeInstance(ctx.vocabulary(), query);
+    if (!(options.*row_.enabled)) {
+      cap.reason = row_.disabled_reason;
+      return cap;
+    }
+    cap.applicable =
+        EngineFor(ctx, query, options, Schedule(options)) != nullptr;
+    cap.reason =
+        cap.applicable ? row_.applicable_reason : row_.inapplicable_reason;
+    return cap;
+  }
+
+  // The per-point engine cost summed over the (N, ⃗τ-scale) schedule.
+  engines::CostEstimate EstimateCost(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& options) const override {
+    std::unique_ptr<engines::FiniteEngine> engine = row_.make_engine(options);
+    const double num_scales =
+        static_cast<double>(options.limit.tolerance_scales.size());
+    engines::CostEstimate total;
+    total.error = options.limit.convergence_epsilon;
+    // The basis describes the dominant (most expensive) probe — the one a
+    // reader should reconcile the work figure against.
+    double dominant_work = -1.0;
+    for (int n : Schedule(options)) {
+      if (!engine->Supports(ctx, query, n)) continue;
+      engines::CostEstimate point = engine->EstimateCost(ctx, query, n);
+      total.work += point.work * num_scales;
+      total.error = std::max(total.error, point.error);
+      if (point.work > dominant_work) {
+        dominant_work = point.work;
+        total.basis = point.basis;
+      }
+    }
+    if (!total.basis.empty()) {
+      total.basis += " at the largest N; work summed over the sweep schedule";
+    }
+    total.error = std::max(total.error, row_.error_floor);
+    return total;
+  }
+
+  Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
+              const InferenceOptions& options, Answer* answer) const override {
+    std::unique_ptr<engines::FiniteEngine> engine =
+        EngineFor(ctx, query, options, Schedule(options));
+    if (engine == nullptr) return Outcome::kSkip;
+    engines::LimitResult lr = Sweep(*engine, ctx, query, options);
+    if (lr.value.has_value() || answer->series.empty() ||
+        row_.result_class == engines::ResultClass::kDeterministic) {
+      answer->series = lr.series;
+    }
+    if (lr.exhausted && answer->explanation.empty()) {
+      answer->explanation = row_.exhausted_explanation;
+    }
+    if (lr.deadline_hit && answer->explanation.empty()) {
+      answer->explanation = row_.name + " sweep cut short by the deadline";
+    }
+    // Only a sweep that actually evaluated its points may claim the KB has
+    // no worlds.  A sweep cut short by the work budget or the deadline has
+    // no information — fall through so the planner can try the next
+    // candidate.
+    if (row_.undefined_when_never_defined && lr.never_defined &&
+        !lr.series.empty() && !lr.exhausted && !lr.deadline_hit) {
+      answer->status = Answer::Status::kUndefined;
+      answer->method = row_.method;
+      answer->explanation = "no worlds satisfy the KB at any sampled (N, τ)";
+      return Outcome::kFinal;
+    }
+    if (!lr.value.has_value()) return Outcome::kPartial;
+    SetPoint(answer, *lr.value, lr.converged, row_.method,
+             row_.appended_method);
+    return Outcome::kFinal;
+  }
+
+ private:
+  SweepRow row_;
+};
+
+// Fixed-N and calibrated evaluate with the profile sweep's engine when it
+// applies, and with the exact sweep's otherwise.
+class ProfileElseExactStrategy : public InferenceStrategy {
+ public:
+  ProfileElseExactStrategy(std::shared_ptr<const SweepStrategy> profile,
+                           std::shared_ptr<const SweepStrategy> exact)
+      : profile_(std::move(profile)), exact_(std::move(exact)) {}
+
+ protected:
+  struct Choice {
+    const SweepStrategy* sweep = nullptr;
+    std::unique_ptr<engines::FiniteEngine> engine;
+  };
+
+  // The first of profile and exact whose engine supports some N of
+  // `domain_sizes` (of the sweep's own schedule when empty).
+  Choice Choose(const QueryContext& ctx, const logic::FormulaPtr& query,
+                const InferenceOptions& options,
+                std::span<const int> domain_sizes = {}) const {
+    for (const SweepStrategy* sweep : {profile_.get(), exact_.get()}) {
+      std::unique_ptr<engines::FiniteEngine> engine = sweep->EngineFor(
+          ctx, query, options,
+          domain_sizes.empty() ? std::span<const int>(sweep->Schedule(options))
+                               : domain_sizes);
+      if (engine != nullptr) return {sweep, std::move(engine)};
+    }
+    return {};
+  }
+
+  std::shared_ptr<const SweepStrategy> profile_;
+  std::shared_ptr<const SweepStrategy> exact_;
+};
 
 // 0. Known domain size (footnote 9): evaluate Pr_N^τ directly at N.
 // Final whenever a fixed N is requested — there is no limit to fall back
 // to.
-class FixedDomainStrategy : public InferenceStrategy {
+class FixedDomainStrategy : public ProfileElseExactStrategy {
  public:
+  using ProfileElseExactStrategy::ProfileElseExactStrategy;
+
   std::string name() const override { return "fixed-n"; }
 
   bool preemptive() const override { return true; }
@@ -108,13 +293,9 @@ class FixedDomainStrategy : public InferenceStrategy {
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& options) const override {
     const int n = options.fixed_domain_size;
-    engines::ProfileEngine profile;
-    engines::ExactEngine exact;
-    if (options.use_profile && profile.Supports(ctx, query, n)) {
-      return profile.EstimateCost(ctx, query, n);
-    }
-    if (options.use_exact_fallback && exact.Supports(ctx, query, n)) {
-      return exact.EstimateCost(ctx, query, n);
+    Choice choice = Choose(ctx, query, options, {&n, 1});
+    if (choice.engine != nullptr) {
+      return choice.engine->EstimateCost(ctx, query, n);
     }
     engines::CostEstimate none;
     none.basis = "no engine supports the fixed domain size";
@@ -125,39 +306,27 @@ class FixedDomainStrategy : public InferenceStrategy {
               const InferenceOptions& options, Answer* answer) const override {
     if (options.fixed_domain_size <= 0) return Outcome::kSkip;
     const int n = options.fixed_domain_size;
-    engines::ProfileEngine profile;
-    engines::ExactEngine exact;
-    const engines::FiniteEngine* engine = nullptr;
-    if (options.use_profile && profile.Supports(ctx, query, n)) {
-      engine = &profile;
-    } else if (options.use_exact_fallback && exact.Supports(ctx, query, n)) {
-      engine = &exact;
-    }
-    if (engine != nullptr) {
-      engines::FiniteResult fr =
-          engine->DegreeAt(ctx, query, n, options.tolerances);
-      if (fr.exhausted) {
-        answer->status = Answer::Status::kUnknown;
-        answer->explanation = "work budget exhausted at the fixed N";
-        return Outcome::kFinal;
-      }
-      if (!fr.well_defined) {
-        answer->status = Answer::Status::kUndefined;
-        answer->method = engine == &profile ? "profile @ fixed N"
-                                            : "exact @ fixed N";
-        answer->explanation = "no worlds satisfy the KB at this (N, τ)";
-        return Outcome::kFinal;
-      }
-      answer->status = Answer::Status::kPoint;
-      answer->value = fr.probability;
-      answer->lo = answer->hi = fr.probability;
-      answer->method = engine == &profile ? "profile @ fixed N"
-                                          : "exact @ fixed N";
-      answer->converged = true;
+    Choice choice = Choose(ctx, query, options, {&n, 1});
+    if (choice.engine == nullptr) {
+      answer->status = Answer::Status::kUnknown;
+      answer->explanation = "no engine supports the fixed domain size";
       return Outcome::kFinal;
     }
-    answer->status = Answer::Status::kUnknown;
-    answer->explanation = "no engine supports the fixed domain size";
+    engines::FiniteResult fr =
+        choice.engine->DegreeAt(ctx, query, n, options.tolerances);
+    if (fr.exhausted) {
+      answer->status = Answer::Status::kUnknown;
+      answer->explanation = "work budget exhausted at the fixed N";
+      return Outcome::kFinal;
+    }
+    const std::string method = choice.sweep->name() + " @ fixed N";
+    if (!fr.well_defined) {
+      answer->status = Answer::Status::kUndefined;
+      answer->method = method;
+      answer->explanation = "no worlds satisfy the KB at this (N, τ)";
+      return Outcome::kFinal;
+    }
+    SetPoint(answer, fr.probability, true, method);
     return Outcome::kFinal;
   }
 };
@@ -218,82 +387,6 @@ class SymbolicStrategy : public InferenceStrategy {
   }
 };
 
-// 2. Profile engine sweep (unary KBs).
-class ProfileSweepStrategy : public InferenceStrategy {
- public:
-  std::string name() const override { return "profile"; }
-
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
-    engines::ProfileEngine profile;
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_profile) {
-      cap.reason = "disabled";
-      return cap;
-    }
-    cap.applicable =
-        AnySupported(profile, ctx, query, options.limit.domain_sizes);
-    cap.reason = cap.applicable
-                     ? "unary fragment within the leaf budget"
-                     : "no schedule N within the engine's structural "
-                       "limits (unary fragment, atom/constant caps)";
-    return cap;
-  }
-
-  engines::CostEstimate EstimateCost(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& options) const override {
-    engines::ProfileEngine profile;
-    return SweepCost(profile, ctx, query, options.limit.domain_sizes,
-                     options.limit.tolerance_scales.size(),
-                     options.limit.convergence_epsilon);
-  }
-
-  Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_profile) return Outcome::kSkip;
-    engines::ProfileEngine profile;
-    if (!AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
-      return Outcome::kSkip;
-    }
-    engines::LimitResult lr = engines::EstimateLimit(
-        profile, ctx, query, options.tolerances, options.limit);
-    answer->series = lr.series;
-    if (lr.exhausted && answer->explanation.empty()) {
-      answer->explanation = "profile engine exhausted its leaf budget";
-    }
-    if (lr.deadline_hit && answer->explanation.empty()) {
-      answer->explanation = "profile sweep cut short by the deadline";
-    }
-    if (lr.never_defined) {
-      // Only a sweep that actually evaluated its points may claim the KB
-      // has no worlds.  A sweep cut short by the work budget or the
-      // deadline has no information — fall through so the planner can try
-      // the next candidate.
-      if (lr.series.empty() || lr.exhausted || lr.deadline_hit) {
-        return Outcome::kPartial;
-      }
-      answer->status = Answer::Status::kUndefined;
-      answer->method = "profile sweep";
-      answer->explanation = "no worlds satisfy the KB at any sampled (N, τ)";
-      return Outcome::kFinal;
-    }
-    if (lr.value.has_value()) {
-      answer->status = Answer::Status::kPoint;
-      answer->value = *lr.value;
-      answer->lo = answer->hi = *lr.value;
-      answer->method = answer->method.empty()
-                           ? "profile sweep"
-                           : answer->method + " + profile sweep";
-      answer->converged = lr.converged;
-      return Outcome::kFinal;
-    }
-    return Outcome::kPartial;
-  }
-};
-
 // 3. Maximum-entropy limit (unary KBs within the linear fragment).
 class MaxEntStrategy : public InferenceStrategy {
  public:
@@ -325,164 +418,8 @@ class MaxEntStrategy : public InferenceStrategy {
     engines::MaxEntEngine::LimitResultME mr =
         maxent.InferLimit(ctx, query, options.tolerances);
     if (!mr.supported) return Outcome::kSkip;
-    answer->status = Answer::Status::kPoint;
-    answer->value = mr.value;
-    answer->lo = answer->hi = mr.value;
-    answer->method = answer->method.empty()
-                         ? "maximum entropy"
-                         : answer->method + " + maximum entropy";
-    answer->converged = mr.converged;
+    SetPoint(answer, mr.value, mr.converged, "maximum entropy");
     return Outcome::kFinal;
-  }
-};
-
-// 4. Exact enumeration fallback for tiny instances.
-class ExactFallbackStrategy : public InferenceStrategy {
- public:
-  std::string name() const override { return "exact"; }
-
-  // The sweep schedule is fixed small: enumeration is hopeless beyond
-  // tiny N, and the limit is extrapolated from the prefix.
-  static std::vector<int> SmallSizes() { return {2, 3, 4, 5, 6}; }
-
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
-    engines::ExactEngine exact;
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_exact_fallback) {
-      cap.reason = "disabled";
-      return cap;
-    }
-    cap.applicable = AnySupported(exact, ctx, query, SmallSizes());
-    cap.reason = cap.applicable
-                     ? "world odometer fits at small N"
-                     : "world count exceeds the enumeration cap at every "
-                       "small N";
-    return cap;
-  }
-
-  engines::CostEstimate EstimateCost(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& options) const override {
-    engines::ExactEngine exact;
-    engines::CostEstimate cost =
-        SweepCost(exact, ctx, query, SmallSizes(),
-                  options.limit.tolerance_scales.size(),
-                  options.limit.convergence_epsilon);
-    // Extrapolating Pr_∞ from N ≤ 6 carries real finite-size bias.
-    cost.error = std::max(cost.error, 0.05);
-    return cost;
-  }
-
-  Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_exact_fallback) return Outcome::kSkip;
-    engines::ExactEngine exact;
-    engines::LimitOptions small = options.limit;
-    small.domain_sizes = SmallSizes();
-    if (!AnySupported(exact, ctx, query, small.domain_sizes)) {
-      return Outcome::kSkip;
-    }
-    engines::LimitResult lr =
-        engines::EstimateLimit(exact, ctx, query, options.tolerances, small);
-    answer->series = lr.series;
-    if (lr.deadline_hit && answer->explanation.empty()) {
-      answer->explanation = "exact sweep cut short by the deadline";
-    }
-    if (lr.value.has_value()) {
-      answer->status = Answer::Status::kPoint;
-      answer->value = *lr.value;
-      answer->lo = answer->hi = *lr.value;
-      answer->method = answer->method.empty()
-                           ? "exact enumeration (small N)"
-                           : answer->method + " + exact enumeration";
-      answer->converged = lr.converged;
-      return Outcome::kFinal;
-    }
-    return Outcome::kPartial;
-  }
-};
-
-// 5. Monte-Carlo sweep (opt-in): rejection sampling covers vocabularies no
-// other numeric engine reaches (binary predicates at medium N), at the
-// price of sampling error — so it must be requested explicitly.
-class MonteCarloStrategy : public InferenceStrategy {
- public:
-  std::string name() const override { return "montecarlo"; }
-
-  // The sampling-error budget of InferenceOptions maps onto the engine's
-  // sample count; everything else stays at the engine defaults (and is
-  // pinned into the memo key by the engine's CacheSalt).
-  static engines::MonteCarloEngine MakeEngine(
-      const InferenceOptions& options) {
-    engines::MonteCarloEngine::Options mc;
-    if (options.montecarlo_samples > 0) {
-      mc.num_samples = options.montecarlo_samples;
-    }
-    return engines::MonteCarloEngine(mc);
-  }
-
-  engines::ResultClass result_class() const override {
-    return engines::ResultClass::kStatistical;
-  }
-
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
-    engines::MonteCarloEngine montecarlo = MakeEngine(options);
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_montecarlo) {
-      cap.reason = "disabled (opt-in: sampling error; --montecarlo)";
-      return cap;
-    }
-    cap.applicable =
-        AnySupported(montecarlo, ctx, query, options.limit.domain_sizes);
-    cap.reason = cap.applicable
-                     ? "world representation within the cell cap"
-                     : "world representation exceeds the cell cap at "
-                       "every schedule N";
-    return cap;
-  }
-
-  engines::CostEstimate EstimateCost(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& options) const override {
-    engines::MonteCarloEngine montecarlo = MakeEngine(options);
-    return SweepCost(montecarlo, ctx, query, options.limit.domain_sizes,
-                     options.limit.tolerance_scales.size(),
-                     options.limit.convergence_epsilon);
-  }
-
-  Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
-              const InferenceOptions& options, Answer* answer) const override {
-    if (!options.use_montecarlo) return Outcome::kSkip;
-    engines::MonteCarloEngine montecarlo = MakeEngine(options);
-    if (!AnySupported(montecarlo, ctx, query, options.limit.domain_sizes)) {
-      return Outcome::kSkip;
-    }
-    engines::LimitResult lr = engines::EstimateLimit(
-        montecarlo, ctx, query, options.tolerances, options.limit);
-    if (lr.deadline_hit && answer->explanation.empty()) {
-      answer->explanation = "montecarlo sweep cut short by the deadline";
-    }
-    if (lr.value.has_value()) {
-      // This sweep produced the answer, so its series replaces any earlier
-      // engine's diagnostics.
-      answer->series = lr.series;
-      answer->status = Answer::Status::kPoint;
-      answer->value = *lr.value;
-      answer->lo = answer->hi = *lr.value;
-      answer->method = answer->method.empty()
-                           ? "montecarlo sweep"
-                           : answer->method + " + montecarlo sweep";
-      answer->converged = lr.converged;
-      return Outcome::kFinal;
-    }
-    if (answer->series.empty()) answer->series = lr.series;
-    return Outcome::kPartial;
   }
 };
 
@@ -496,9 +433,8 @@ class MonteCarloStrategy : public InferenceStrategy {
 // relation by two independent algorithms (greedy peel vs subset
 // enumeration) — the differential `defaults` check leans on that.
 
-// A p-entailment decider differing only in caps and the underlying
-// algorithm.
-class PEntailmentStrategy : public InferenceStrategy {
+// A strategy over the fragment, within its own caps.
+class DefaultsFragmentStrategy : public InferenceStrategy {
  public:
   engines::Capability Assess(QueryContext& ctx,
                              const logic::FormulaPtr& query,
@@ -510,8 +446,7 @@ class PEntailmentStrategy : public InferenceStrategy {
       cap.reason = "disabled (defaults family off)";
       return cap;
     }
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
+    defaults::DefaultsInstance instance = Analyze(ctx, query);
     cap.applicable = instance.ok;
     cap.reason = instance.ok
                      ? "propositional-defaults fragment: " +
@@ -522,11 +457,37 @@ class PEntailmentStrategy : public InferenceStrategy {
     return cap;
   }
 
+  engines::CostEstimate EstimateCost(
+      QueryContext& ctx, const logic::FormulaPtr& query,
+      const InferenceOptions& /*options*/) const override {
+    defaults::DefaultsInstance instance = Analyze(ctx, query);
+    const double rules = static_cast<double>(instance.rules.size()) + 1.0;
+    const double worlds =
+        static_cast<double>(uint64_t{1} << std::max(instance.num_vars, 1));
+    return Cost(rules, worlds);
+  }
+
+ protected:
+  defaults::DefaultsInstance Analyze(const QueryContext& ctx,
+                                     const logic::FormulaPtr& query) const {
+    return defaults::AnalyzeDefaultsInstance(ctx.kb_conjuncts(), query,
+                                             limits());
+  }
+
+  virtual defaults::FragmentLimits limits() const = 0;
+  // Predicted work over `rules` (the rule count plus one) and `worlds`
+  // (2^classes); the error is 0, the decision being exact.
+  virtual engines::CostEstimate Cost(double rules, double worlds) const = 0;
+};
+
+// A p-entailment decider differing only in caps and the underlying
+// algorithm.
+class PEntailmentStrategy : public DefaultsFragmentStrategy {
+ public:
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
     if (!options.use_defaults) return Outcome::kSkip;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
+    defaults::DefaultsInstance instance = Analyze(ctx, query);
     if (!instance.ok) return Outcome::kSkip;
     const defaults::Rule negated{
         instance.query.antecedent,
@@ -541,21 +502,14 @@ class PEntailmentStrategy : public InferenceStrategy {
       // conditioning degenerates — the numeric sweeps decide.
       return Outcome::kSkip;
     }
-    answer->status = Answer::Status::kPoint;
-    answer->value = entails_query ? 1.0 : 0.0;
-    answer->lo = answer->hi = answer->value;
-    answer->method = answer->method.empty()
-                         ? method_label()
-                         : answer->method + " + " + method_label();
+    SetPoint(answer, entails_query ? 1.0 : 0.0, true, method_label());
     answer->explanation = entails_query
                               ? "the rules p-entail evidence → query"
                               : "the rules p-entail evidence → ¬query";
-    answer->converged = true;
     return Outcome::kFinal;
   }
 
  protected:
-  virtual defaults::FragmentLimits limits() const = 0;
   virtual std::string method_label() const = 0;
   virtual bool Entails(const std::vector<defaults::Rule>& rules,
                        const defaults::Rule& query, int num_vars) const = 0;
@@ -566,30 +520,19 @@ class EpsilonSemanticsStrategy : public PEntailmentStrategy {
  public:
   std::string name() const override { return "epsilon_semantics"; }
 
-  engines::CostEstimate EstimateCost(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& /*options*/) const override {
-    engines::CostEstimate cost;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
-    const double rules = static_cast<double>(instance.rules.size()) + 1.0;
-    const double worlds =
-        static_cast<double>(uint64_t{1} << std::max(instance.num_vars, 1));
-    // Two greedy peels (query and negation): peel rounds × toleration
-    // probes × worlds × material checks.
-    cost.work = 2.0 * rules * rules * rules * worlds;
-    cost.error = 0.0;
-    cost.basis = "greedy tolerance peel over 2^classes worlds, both query "
-                 "directions";
-    return cost;
-  }
-
  protected:
   defaults::FragmentLimits limits() const override {
     defaults::FragmentLimits limits;
     limits.max_vars = 10;
     limits.max_rules = 16;
     return limits;
+  }
+  // Two greedy peels (query and negation): peel rounds × toleration
+  // probes × worlds × material checks.
+  engines::CostEstimate Cost(double rules, double worlds) const override {
+    return {2.0 * rules * rules * rules * worlds, 0.0,
+            "greedy tolerance peel over 2^classes worlds, both query "
+            "directions"};
   }
   std::string method_label() const override {
     return "epsilon-semantics p-entailment";
@@ -608,28 +551,17 @@ class KlmStrategy : public PEntailmentStrategy {
  public:
   std::string name() const override { return "klm"; }
 
-  engines::CostEstimate EstimateCost(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& /*options*/) const override {
-    engines::CostEstimate cost;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, limits());
-    const double rules = static_cast<double>(instance.rules.size()) + 1.0;
-    const double worlds =
-        static_cast<double>(uint64_t{1} << std::max(instance.num_vars, 1));
-    cost.work = 2.0 * std::pow(2.0, rules) * rules * worlds;
-    cost.error = 0.0;
-    cost.basis = "tolerated-rule test over all 2^rules subsets, both query "
-                 "directions";
-    return cost;
-  }
-
  protected:
   defaults::FragmentLimits limits() const override {
     defaults::FragmentLimits limits;
     limits.max_vars = 8;
     limits.max_rules = 11;
     return limits;
+  }
+  engines::CostEstimate Cost(double rules, double worlds) const override {
+    return {2.0 * std::pow(2.0, rules) * rules * worlds, 0.0,
+            "tolerated-rule test over all 2^rules subsets, both query "
+            "directions"};
   }
   std::string method_label() const override { return "klm p-entailment"; }
   bool Entails(const std::vector<defaults::Rule>& rules,
@@ -641,62 +573,14 @@ class KlmStrategy : public PEntailmentStrategy {
 // 8. GMP90 maximum-entropy defaults: the κ-strength comparison decides
 // specificity beyond p-entailment; exponent-level ties fall through to the
 // numeric µ*_ε series.  Exact for the fragment by Theorem 6.1.
-class Gmp90Strategy : public InferenceStrategy {
+class Gmp90Strategy : public DefaultsFragmentStrategy {
  public:
   std::string name() const override { return "gmp90"; }
-
-  static defaults::FragmentLimits Limits() {
-    defaults::FragmentLimits limits;
-    limits.max_vars = 8;
-    limits.max_rules = 12;
-    return limits;
-  }
-
-  engines::Capability Assess(QueryContext& ctx,
-                             const logic::FormulaPtr& query,
-                             const InferenceOptions& options) const override {
-    engines::Capability cap =
-        engines::DescribeInstance(ctx.vocabulary(), query);
-    if (!options.use_defaults) {
-      cap.applicable = false;
-      cap.reason = "disabled (defaults family off)";
-      return cap;
-    }
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, Limits());
-    cap.applicable = instance.ok;
-    cap.reason = instance.ok
-                     ? "propositional-defaults fragment: " +
-                           std::to_string(instance.rules.size()) +
-                           " rules over " +
-                           std::to_string(instance.num_vars) + " classes"
-                     : instance.reason;
-    return cap;
-  }
-
-  engines::CostEstimate EstimateCost(
-      QueryContext& ctx, const logic::FormulaPtr& query,
-      const InferenceOptions& /*options*/) const override {
-    engines::CostEstimate cost;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, Limits());
-    const double rules = static_cast<double>(instance.rules.size()) + 1.0;
-    const double worlds =
-        static_cast<double>(uint64_t{1} << std::max(instance.num_vars, 1));
-    // Strength fixed point (rounds × rules × worlds × rules) plus up to
-    // six entropy solves on ties (~200 iterations each).
-    cost.work = rules * rules * rules * worlds + 1200.0 * worlds;
-    cost.error = 0.0;
-    cost.basis = "κ-strength fixed point over 2^classes worlds (+ µ*_ε "
-                 "series on exponent ties)";
-    return cost;
-  }
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
     if (!options.use_defaults) return Outcome::kSkip;
-    defaults::DefaultsInstance instance = defaults::AnalyzeDefaultsInstance(
-        ctx.kb_conjuncts(), query, Limits());
+    defaults::DefaultsInstance instance = Analyze(ctx, query);
     if (!instance.ok) return Outcome::kSkip;
     // The evidence must be propositionally satisfiable: facts are hard, so
     // contradictory evidence means no worlds at all — the sweeps' call
@@ -744,16 +628,24 @@ class Gmp90Strategy : public InferenceStrategy {
       }
     }
     if (value < 0.0) return Outcome::kSkip;
-    answer->status = Answer::Status::kPoint;
-    answer->value = value;
-    answer->lo = answer->hi = value;
-    answer->method = answer->method.empty()
-                         ? "gmp90 maximum-entropy defaults"
-                         : answer->method + " + gmp90 maximum-entropy "
-                                            "defaults";
+    SetPoint(answer, value, true, "gmp90 maximum-entropy defaults");
     answer->explanation = how;
-    answer->converged = true;
     return Outcome::kFinal;
+  }
+
+ protected:
+  defaults::FragmentLimits limits() const override {
+    defaults::FragmentLimits limits;
+    limits.max_vars = 8;
+    limits.max_rules = 12;
+    return limits;
+  }
+  // Strength fixed point (rounds × rules × worlds × rules) plus up to six
+  // entropy solves on ties (~200 iterations each).
+  engines::CostEstimate Cost(double rules, double worlds) const override {
+    return {rules * rules * rules * worlds + 1200.0 * worlds, 0.0,
+            "κ-strength fixed point over 2^classes worlds (+ µ*_ε series "
+            "on exponent ties)"};
   }
 };
 
@@ -815,16 +707,9 @@ class EvidenceStrategy : public InferenceStrategy {
       // classes — resolves to 1/2; otherwise the limit does not exist.
       if (instance.alphas.size() == 2 &&
           instance.tolerance_indices[0] == instance.tolerance_indices[1]) {
-        answer->status = Answer::Status::kPoint;
-        answer->value = 0.5;
-        answer->lo = answer->hi = 0.5;
-        answer->method = answer->method.empty()
-                             ? "dempster evidence combination"
-                             : answer->method +
-                                   " + dempster evidence combination";
+        SetPoint(answer, 0.5, true, "dempster evidence combination");
         answer->explanation =
             "equal-strength conflicting hard defaults resolve to 1/2";
-        answer->converged = true;
         return Outcome::kFinal;
       }
       answer->status = Answer::Status::kNonexistent;
@@ -834,18 +719,11 @@ class EvidenceStrategy : public InferenceStrategy {
                             "(Section 5.3)";
       return Outcome::kFinal;
     }
-    const double combined = evidence::DempsterCombine(instance.alphas);
-    answer->status = Answer::Status::kPoint;
-    answer->value = combined;
-    answer->lo = answer->hi = combined;
-    answer->method = answer->method.empty()
-                         ? "dempster evidence combination"
-                         : answer->method + " + dempster evidence "
-                                            "combination";
+    SetPoint(answer, evidence::DempsterCombine(instance.alphas), true,
+             "dempster evidence combination");
     answer->explanation =
         "Theorem 5.26 over " + std::to_string(instance.alphas.size()) +
         " essentially-disjoint reference classes";
-    answer->converged = true;
     return Outcome::kFinal;
   }
 };
@@ -857,8 +735,10 @@ class EvidenceStrategy : public InferenceStrategy {
 // point/interval when one exists (widening can only improve coverage).
 // The differential `coverage` check replays the schedule on the exact
 // engine and verifies empirical coverage ≥ confidence - tolerance.
-class CalibratedStrategy : public InferenceStrategy {
+class CalibratedStrategy : public ProfileElseExactStrategy {
  public:
+  using ProfileElseExactStrategy::ProfileElseExactStrategy;
+
   std::string name() const override { return "calibrated"; }
 
   bool preemptive() const override { return true; }
@@ -880,13 +760,7 @@ class CalibratedStrategy : public InferenceStrategy {
                        : "interval confidence outside (0, 1)";
       return cap;
     }
-    engines::ProfileEngine profile;
-    engines::ExactEngine exact;
-    cap.applicable =
-        (options.use_profile &&
-         AnySupported(profile, ctx, query, options.limit.domain_sizes)) ||
-        (options.use_exact_fallback &&
-         AnySupported(exact, ctx, query, ExactFallbackStrategy::SmallSizes()));
+    cap.applicable = Choose(ctx, query, options).sweep != nullptr;
     cap.reason = cap.applicable
                      ? "interval at confidence requested; a numeric sweep "
                        "engine covers the schedule"
@@ -894,45 +768,25 @@ class CalibratedStrategy : public InferenceStrategy {
     return cap;
   }
 
+  // The chosen sweep's own prediction.
   engines::CostEstimate EstimateCost(
       QueryContext& ctx, const logic::FormulaPtr& query,
       const InferenceOptions& options) const override {
-    engines::ProfileEngine profile;
-    if (options.use_profile &&
-        AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
-      return SweepCost(profile, ctx, query, options.limit.domain_sizes,
-                       options.limit.tolerance_scales.size(),
-                       options.limit.convergence_epsilon);
-    }
-    engines::ExactEngine exact;
-    return SweepCost(exact, ctx, query, ExactFallbackStrategy::SmallSizes(),
-                     options.limit.tolerance_scales.size(),
-                     options.limit.convergence_epsilon);
+    const SweepStrategy* sweep = Choose(ctx, query, options).sweep;
+    return (sweep != nullptr ? sweep : exact_.get())
+        ->EstimateCost(ctx, query, options);
   }
 
   Outcome Run(QueryContext& ctx, const logic::FormulaPtr& query,
               const InferenceOptions& options, Answer* answer) const override {
     if (!Requested(options)) return Outcome::kSkip;
-    engines::ProfileEngine profile;
-    engines::ExactEngine exact;
-    engines::LimitResult lr;
-    std::string sweep_label;
-    if (options.use_profile &&
-        AnySupported(profile, ctx, query, options.limit.domain_sizes)) {
-      lr = engines::EstimateLimit(profile, ctx, query, options.tolerances,
-                                  options.limit);
-      sweep_label = "profile sweep";
-    } else if (options.use_exact_fallback &&
-               AnySupported(exact, ctx, query,
-                            ExactFallbackStrategy::SmallSizes())) {
-      engines::LimitOptions small = options.limit;
-      small.domain_sizes = ExactFallbackStrategy::SmallSizes();
-      lr = engines::EstimateLimit(exact, ctx, query, options.tolerances,
-                                  small);
-      sweep_label = "exact sweep (small N)";
-    } else {
-      return Outcome::kSkip;
-    }
+    Choice choice = Choose(ctx, query, options);
+    if (choice.sweep == nullptr) return Outcome::kSkip;
+    engines::LimitResult lr =
+        choice.sweep->Sweep(*choice.engine, ctx, query, options);
+    const std::string sweep_label = choice.sweep == profile_.get()
+                                        ? "profile sweep"
+                                        : "exact sweep (small N)";
 
     std::vector<double> values;
     for (const engines::SeriesPoint& point : lr.series) {
@@ -1012,10 +866,53 @@ engines::CostEstimate InferenceStrategy::EstimateCost(
 EngineRegistry& EngineRegistry::Default() {
   static EngineRegistry* registry = [] {
     auto* r = new EngineRegistry();
-    r->Register(0, std::make_shared<FixedDomainStrategy>());
-    r->Register(1, std::make_shared<CalibratedStrategy>());
+    // 2. Profile engine sweep (unary KBs).
+    auto profile = std::make_shared<SweepStrategy>(SweepRow{
+        .name = "profile",
+        .enabled = &InferenceOptions::use_profile,
+        .make_engine = &MakeEngine<engines::ProfileEngine>,
+        .disabled_reason = "disabled",
+        .applicable_reason = "unary fragment within the leaf budget",
+        .inapplicable_reason = "no schedule N within the engine's structural "
+                               "limits (unary fragment, atom/constant caps)",
+        .exhausted_explanation = "profile engine exhausted its leaf budget",
+        .method = "profile sweep",
+        .undefined_when_never_defined = true,
+    });
+    // 4. Exact enumeration fallback for tiny instances.  The schedule is
+    // fixed small: enumeration is hopeless beyond tiny N, and extrapolating
+    // Pr_∞ from N ≤ 6 carries real finite-size bias.
+    auto exact = std::make_shared<SweepStrategy>(SweepRow{
+        .name = "exact",
+        .enabled = &InferenceOptions::use_exact_fallback,
+        .make_engine = &MakeEngine<engines::ExactEngine>,
+        .domain_sizes = {2, 3, 4, 5, 6},
+        .disabled_reason = "disabled",
+        .applicable_reason = "world odometer fits at small N",
+        .inapplicable_reason =
+            "world count exceeds the enumeration cap at every small N",
+        .method = "exact enumeration (small N)",
+        .appended_method = "exact enumeration",
+        .error_floor = 0.05,
+    });
+    // 5. Monte-Carlo sweep (opt-in): rejection sampling covers vocabularies
+    // no other numeric engine reaches (binary predicates at medium N), at
+    // the price of sampling error — so it must be requested explicitly.
+    auto montecarlo = std::make_shared<SweepStrategy>(SweepRow{
+        .name = "montecarlo",
+        .enabled = &InferenceOptions::use_montecarlo,
+        .make_engine = &MakeMonteCarloEngine,
+        .disabled_reason = "disabled (opt-in: sampling error; --montecarlo)",
+        .applicable_reason = "world representation within the cell cap",
+        .inapplicable_reason =
+            "world representation exceeds the cell cap at every schedule N",
+        .method = "montecarlo sweep",
+        .result_class = engines::ResultClass::kStatistical,
+    });
+    r->Register(0, std::make_shared<FixedDomainStrategy>(profile, exact));
+    r->Register(1, std::make_shared<CalibratedStrategy>(profile, exact));
     r->Register(10, std::make_shared<SymbolicStrategy>());
-    r->Register(20, std::make_shared<ProfileSweepStrategy>());
+    r->Register(20, profile);
     // The closed-form fragment strategies rank after profile in fidelity
     // order: on their fragments they are exact, but profile's finite
     // sweeps remain the default oracle so answers outside forced/cost
@@ -1026,8 +923,8 @@ EngineRegistry& EngineRegistry::Default() {
     r->Register(24, std::make_shared<Gmp90Strategy>());
     r->Register(26, std::make_shared<EvidenceStrategy>());
     r->Register(30, std::make_shared<MaxEntStrategy>());
-    r->Register(40, std::make_shared<ExactFallbackStrategy>());
-    r->Register(50, std::make_shared<MonteCarloStrategy>());
+    r->Register(40, exact);
+    r->Register(50, montecarlo);
     return r;
   }();
   return *registry;

@@ -1,17 +1,26 @@
 // Inference: the public entry point for computing degrees of belief.
 //
-// Routes a (KB, query) pair through the available engines:
+// Routes a (KB, query) pair through the strategies of the default
+// EngineRegistry (core/engine_registry.h), in fidelity order:
 //
-//   1. the symbolic engine (closed-form Pr_∞ via the paper's theorems;
-//      works for the full language),
-//   2. the profile engine (exact Pr_N^τ for unary KBs, swept over growing N
-//      and shrinking τ to estimate the limit),
-//   3. the maximum-entropy engine (the true N→∞ limit for unary KBs),
-//   4. the exact enumeration engine (tiny instances; mostly for validation).
+//   fixed-n      Pr_N^τ at a known domain size (footnote 9; preemptive),
+//   calibrated   a quantile interval over the sweep series (preemptive,
+//                on request),
+//   symbolic     closed-form Pr_∞ via the paper's theorems (full language),
+//   profile      exact Pr_N^τ for unary KBs, swept over growing N and
+//                shrinking τ to estimate the limit,
+//   epsilon_semantics, klm, gmp90
+//                the propositional-defaults fragment (Section 6),
+//   evidence     Dempster combination (Theorem 5.26),
+//   maxent       the true N→∞ limit for unary KBs,
+//   exact        world enumeration at small N (tiny instances),
+//   montecarlo   rejection sampling (opt-in).
 //
-// and reports a point value or interval together with which method produced
-// it and the convergence series (the data behind the paper-style
-// convergence figures).
+// profile, exact and montecarlo are one SweepStrategy registered from three
+// data rows in EngineRegistry::Default() (core/inference.cc).  The answer
+// is a point value or interval together with the method that produced it
+// and the convergence series (the data behind the paper-style convergence
+// figures).
 #ifndef RWL_CORE_INFERENCE_H_
 #define RWL_CORE_INFERENCE_H_
 

@@ -96,28 +96,33 @@ std::shared_ptr<KbSnapshot> KbCatalog::MintSuccessor(const std::string& name,
   return snapshot;
 }
 
-void KbCatalog::InstallLocked(Chain* chain,
-                              std::shared_ptr<KbSnapshot> snapshot) {
+KbCatalog::Evicted KbCatalog::InstallLocked(
+    Chain* chain, std::shared_ptr<KbSnapshot> snapshot) {
   chain->versions.emplace(snapshot->version, std::move(snapshot));
+  Evicted evicted;
   while (chain->versions.size() > options_.retained_versions &&
          options_.retained_versions > 0) {
+    evicted.push_back(std::move(chain->versions.begin()->second));
     chain->versions.erase(chain->versions.begin());
   }
   install_cv_.notify_all();
+  return evicted;
 }
 
 std::shared_ptr<const KbSnapshot> KbCatalog::Load(
     const std::string& name, KnowledgeBase kb, const VersionHook& on_version) {
   std::shared_ptr<KbSnapshot> snapshot =
       BuildSnapshot(name, std::move(kb), nullptr, options_.caching_enabled);
+  decltype(chains_)::node_type replaced;  // released after the unlock
+  Evicted evicted;
   std::lock_guard<std::mutex> lock(mutex_);
-  chains_.erase(name);  // a re-load starts a fresh chain
+  replaced = chains_.extract(name);  // a re-load starts a fresh chain
   snapshot->version = next_version_++;
   Chain& chain = chains_[name];
   chain.staged_kb = snapshot->kb;
   chain.staged_version = snapshot->version;
   if (on_version) on_version(snapshot->version);
-  InstallLocked(&chain, snapshot);
+  evicted = InstallLocked(&chain, snapshot);
   return snapshot;
 }
 
@@ -189,6 +194,7 @@ MutationTicket KbCatalog::Mutate(
     }
     std::shared_ptr<KbSnapshot> snapshot =
         MintSuccessor(name, std::move(next), *head);
+    Evicted evicted;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = chains_.find(name);
     if (it == chains_.end() || it->second.write_mutex != write_mutex) {
@@ -200,7 +206,7 @@ MutationTicket KbCatalog::Mutate(
     ticket.ok = true;
     ticket.version = snapshot->version;
     if (on_version) on_version(snapshot->version);
-    InstallLocked(&it->second, std::move(snapshot));
+    evicted = InstallLocked(&it->second, std::move(snapshot));
     return ticket;
   }
 
@@ -254,16 +260,16 @@ MutationTicket KbCatalog::Mutate(
 
 bool KbCatalog::Drop(const std::string& name,
                      const std::function<void()>& on_drop) {
-  bool dropped;
+  decltype(chains_)::node_type dropped;  // released after the unlock
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    dropped = chains_.erase(name) > 0;
-    if (dropped && on_drop) on_drop();
+    dropped = chains_.extract(name);
+    if (!dropped.empty() && on_drop) on_drop();
   }
   // Queued maintenance for the dropped chain is discarded by the worker
   // (its token no longer matches); waiters must re-check now.
   install_cv_.notify_all();
-  return dropped;
+  return !dropped.empty();
 }
 
 KbCatalog::StagedState KbCatalog::Staged(const std::string& name) const {
@@ -446,6 +452,7 @@ void KbCatalog::ProcessTask(MaintenanceTask task) {
   std::shared_ptr<KbSnapshot> snapshot =
       MintSuccessor(task.name, std::move(task.kb), *head);
   snapshot->version = task.version;
+  Evicted evicted;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = chains_.find(task.name);
   if (it == chains_.end() || it->second.write_mutex != task.token) {
@@ -453,7 +460,7 @@ void KbCatalog::ProcessTask(MaintenanceTask task) {
     return;
   }
   minted_.fetch_add(1, std::memory_order_relaxed);
-  InstallLocked(&it->second, std::move(snapshot));
+  evicted = InstallLocked(&it->second, std::move(snapshot));
 }
 
 size_t RetractConjuncts(

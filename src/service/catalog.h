@@ -272,8 +272,15 @@ class KbCatalog {
                                             KnowledgeBase kb,
                                             const KbSnapshot& prior);
 
-  // Publishes an already-versioned snapshot and wakes WaitForVersion.
-  void InstallLocked(Chain* chain, std::shared_ptr<KbSnapshot> snapshot);
+  // Snapshots taken out of the catalog under mutex_.  Callers declare the
+  // holder before taking the lock, so the last reference — which tears
+  // down a snapshot's whole QueryContext — drops after the unlock.
+  using Evicted = std::vector<std::shared_ptr<const KbSnapshot>>;
+
+  // Publishes an already-versioned snapshot and wakes WaitForVersion;
+  // returns the versions evicted past retained_versions.
+  [[nodiscard]] Evicted InstallLocked(Chain* chain,
+                                      std::shared_ptr<KbSnapshot> snapshot);
 
   void MaintenanceLoop();
   void ProcessTask(MaintenanceTask task);

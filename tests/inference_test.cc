@@ -180,6 +180,25 @@ TEST(InferenceTest, FixedDomainSizeExactForNonUnary) {
   EXPECT_NE(answer.method.find("exact"), std::string::npos);
 }
 
+TEST(InferenceTest, FixedDomainSizeNamesTheEngineItUsed) {
+  // Profile when the KB is unary, exact enumeration otherwise.
+  KnowledgeBase unary;
+  ASSERT_TRUE(unary.AddParsed("Jaun(Eric)\n#(Hep(x) ; Jaun(x))[x] ~= 0.8\n"));
+  InferenceOptions options;
+  options.fixed_domain_size = 10;
+  Answer profile = DegreeOfBelief(unary, "Hep(Eric)", options);
+  ASSERT_EQ(profile.status, Answer::Status::kPoint) << profile.explanation;
+  EXPECT_EQ(profile.method, "profile @ fixed N");
+
+  KnowledgeBase binary;
+  binary.mutable_vocabulary().AddPredicate("R", 2);
+  binary.mutable_vocabulary().AddConstant("A");
+  options.fixed_domain_size = 3;
+  Answer exact = DegreeOfBelief(binary, "R(A, A)", options);
+  ASSERT_EQ(exact.status, Answer::Status::kPoint) << exact.explanation;
+  EXPECT_EQ(exact.method, "exact @ fixed N");
+}
+
 TEST(InferenceTest, StatusToStringCoversAll) {
   EXPECT_EQ(StatusToString(Answer::Status::kPoint), "point");
   EXPECT_EQ(StatusToString(Answer::Status::kInterval), "interval");

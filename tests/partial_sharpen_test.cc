@@ -116,5 +116,31 @@ TEST(PartialSharpenTest, CustomRegistryPreservesThePartialContract) {
   EXPECT_EQ(sharpened.status, Answer::Status::kPoint);
 }
 
+TEST(PartialSharpenTest, ExactSweepAppendsItsShortLabel) {
+  // The exact sweep credits itself as "exact enumeration" after the
+  // symbolic rule, and as "exact enumeration (small N)" alone.
+  KnowledgeBase kb = IntervalBirdKb();
+  InferenceOptions options = FastOptions();
+  logic::FormulaPtr query = logic::ParseFormula("Fly(Tweety)").formula;
+  QueryContext ctx = MakeQueryContext(
+      kb, std::span<const logic::FormulaPtr>(&query, 1), options);
+
+  EngineRegistry registry;
+  registry.Register(0, EngineRegistry::Default().Find("symbolic"));
+  Answer interval = registry.Infer(ctx, query, options);
+  ASSERT_EQ(interval.status, Answer::Status::kInterval);
+  registry.Register(10, EngineRegistry::Default().Find("exact"));
+  Answer sharpened = registry.Infer(ctx, query, options);
+  ASSERT_EQ(sharpened.status, Answer::Status::kPoint)
+      << sharpened.explanation;
+  EXPECT_EQ(sharpened.method, interval.method + " + exact enumeration");
+
+  EngineRegistry exact_only;
+  exact_only.Register(0, EngineRegistry::Default().Find("exact"));
+  Answer alone = exact_only.Infer(ctx, query, options);
+  ASSERT_EQ(alone.status, Answer::Status::kPoint) << alone.explanation;
+  EXPECT_EQ(alone.method, "exact enumeration (small N)");
+}
+
 }  // namespace
 }  // namespace rwl

@@ -309,6 +309,67 @@ TEST(PlannerTest, DeadlineCutSweepDoesNotClaimUndefined) {
   EXPECT_FALSE(answer.converged);
 }
 
+TEST(PlannerTest, ForcedSweepsCutByTheDeadlineSayWhich) {
+  // Every sweep strategy names itself when the deadline stops it before
+  // any point, and none claims an answer.
+  KnowledgeBase kb = HepatitisKb();
+  InferenceOptions options = FastOptions();
+  options.deadline_ms = 1e-6;
+  for (const std::string name : {"profile", "exact", "montecarlo"}) {
+    options.force_engine = name;
+    Answer answer = DegreeOfBelief(kb, "Hep(Eric)", options);
+    EXPECT_EQ(answer.status, Answer::Status::kUnknown) << name;
+    EXPECT_EQ(answer.explanation, name + " sweep cut short by the deadline");
+  }
+}
+
+TEST(PlannerTest, OnlyTheProfileSweepDeclaresAnUnsatisfiableKbUndefined) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddParsed("P(Eric)\n!P(Eric)\n"));
+  InferenceOptions options = FastOptions();
+  options.montecarlo_samples = 2000;
+
+  options.force_engine = "profile";
+  Answer profile = DegreeOfBelief(kb, "Q(Eric)", options);
+  EXPECT_EQ(profile.status, Answer::Status::kUndefined);
+  EXPECT_EQ(profile.method, "profile sweep");
+  EXPECT_EQ(profile.explanation,
+            "no worlds satisfy the KB at any sampled (N, τ)");
+
+  // The exact and Monte-Carlo sweeps find no point either, but leave the
+  // verdict to the planner's fallback.
+  for (const char* name : {"exact", "montecarlo"}) {
+    options.force_engine = name;
+    Answer answer = DegreeOfBelief(kb, "Q(Eric)", options);
+    EXPECT_EQ(answer.status, Answer::Status::kUnknown) << name;
+    EXPECT_EQ(answer.explanation,
+              "no engine applies to this (KB, query) pair")
+        << name;
+  }
+}
+
+TEST(PlannerTest, CalibratedExactSweepPredictsExactsError) {
+  // Off the unary fragment calibrated sweeps with the exact engine, so it
+  // predicts the exact strategy's error, finite-size floor included.
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddParsed("(forall x. R0(x, x))\n!R0(K0, K1)\nP0(K0)\n"));
+  InferenceOptions options = FastOptions();
+  options.use_symbolic = false;
+  options.interval_confidence = 0.9;
+  Answer calibrated = DegreeOfBelief(kb, "P0(K1)", options);
+  const PlanStep* step = FindStep(calibrated, "calibrated");
+  ASSERT_NE(step, nullptr);
+  ASSERT_TRUE(step->capability.applicable) << step->capability.reason;
+
+  InferenceOptions forced = options;
+  forced.interval_confidence = 0.0;
+  forced.force_engine = "exact";
+  Answer exact = DegreeOfBelief(kb, "P0(K1)", forced);
+  ASSERT_EQ(exact.plan->steps.size(), 1u);
+  EXPECT_EQ(step->predicted.error, exact.plan->steps[0].predicted.error);
+  EXPECT_EQ(step->predicted.work, exact.plan->steps[0].predicted.work);
+}
+
 TEST(PlannerTest, CostModePicksCheapestApplicable) {
   KnowledgeBase kb = HepatitisKb();
   InferenceOptions options = FastOptions();
