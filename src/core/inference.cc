@@ -85,6 +85,10 @@ struct SweepRow {
   double error_floor = 0.0;
   // Whether a fully evaluated sweep that never met a world answers
   // kUndefined (otherwise it falls through like a sweep with no point).
+  // Only a schedule that reaches large N may claim this: exact's N <= 6
+  // can miss every world of a KB like #(P(x))[x] ~= 0.37 at tolerance
+  // 0.02, whose Pr_∞ is defined, and Monte-Carlo's empty acceptance is
+  // only a sampling drought.
   bool undefined_when_never_defined = false;
   // A statistical sweep that yields no point keeps an earlier engine's
   // series.

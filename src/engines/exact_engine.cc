@@ -125,7 +125,8 @@ void LoadFunctionCells(semantics::World* world, const int* cells) {
 
 // One shard's contribution to the enumeration: counts, and (when recording)
 // the KB worlds of its contiguous index range in enumeration order.
-struct ShardTally {
+// Cache-line aligned, as each shard bumps its counts in the loop.
+struct alignas(64) ShardTally {
   int64_t kb_count = 0;
   int64_t both_count = 0;
   bool record_overflow = false;
@@ -422,33 +423,16 @@ FiniteResult ComputeExact(const logic::Vocabulary& vocabulary,
     record->tolerances = tolerances;
   }
 
-  // Shard the contiguous world-index ranges across the pool; the merge
-  // below reads the shards in index order, so counts and recorded cells
-  // are identical to the serial enumeration at every thread count.
-  int shards = 1;
-  if (total > 0) {
-    const int64_t max_shards = std::min<int64_t>(total, 64);
-    shards = util::EffectiveThreads(num_threads,
-                                    static_cast<int>(max_shards));
-  }
+  // Shard the contiguous world-index ranges across the pool, in more
+  // shards than it has threads so that threads joining late (a pooled
+  // sweep's, see util::ParallelFor) still get a share; the merge below
+  // reads the shards in index order, so counts and recorded cells are
+  // identical to the serial enumeration at every thread count.
+  const int shards =
+      total < 2048 ? 1 : static_cast<int>(std::min<int64_t>(total, 64));
   std::atomic<int64_t> global_recorded_bytes{0};
-  if (shards <= 1 || total < 2048) {
-    ShardTally tally;
-    RunShard(vocabulary, *kb.program, *query.program, domain_size, tolerances,
-             0, total, record != nullptr, &global_recorded_bytes, &tally);
-    if (record != nullptr) {
-      record->valid = !tally.record_overflow;
-      if (record->valid) {
-        record->pred_cells = std::move(tally.pred_cells);
-        record->func_cells = std::move(tally.func_cells);
-        record->kb_count = tally.kb_recorded;
-      }
-    }
-    return ResultFromCounts(tally.kb_count, tally.both_count);
-  }
-
   std::vector<ShardTally> tallies(shards);
-  util::ParallelFor(shards, shards, [&](int s) {
+  util::ParallelFor(num_threads, shards, [&](int s) {
     const int64_t start = total * s / shards;
     const int64_t end = total * (s + 1) / shards;
     RunShard(vocabulary, *kb.program, *query.program, domain_size, tolerances,

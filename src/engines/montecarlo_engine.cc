@@ -31,7 +31,8 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-struct ShardCounts {
+// Cache-line aligned, as each shard bumps its counts in the sampling loop.
+struct alignas(64) ShardCounts {
   uint64_t accepted = 0;
   uint64_t satisfying = 0;
 };

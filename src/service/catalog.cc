@@ -1,7 +1,8 @@
 #include "src/service/catalog.h"
 
-#include <chrono>
 #include <utility>
+
+#include "src/util/thread_pool.h"
 
 #if defined(__linux__)
 #include <sys/resource.h>
@@ -31,11 +32,8 @@ KbSnapshot::LoggedQueries() const {
   return query_log_;
 }
 
-KbCatalog::KbCatalog(const CatalogOptions& options) : options_(options) {
-  if (options_.background_maintenance) {
-    maintenance_thread_ = std::thread(&KbCatalog::MaintenanceLoop, this);
-  }
-}
+KbCatalog::KbCatalog()
+    : maintenance_thread_(&KbCatalog::MaintenanceLoop, this) {}
 
 KbCatalog::~KbCatalog() {
   {
@@ -43,55 +41,55 @@ KbCatalog::~KbCatalog() {
     stopping_ = true;
   }
   maintenance_cv_.notify_all();
-  if (maintenance_thread_.joinable()) maintenance_thread_.join();
+  maintenance_thread_.join();
 }
 
-std::shared_ptr<KbSnapshot> KbCatalog::BuildSnapshot(
-    const std::string& name, KnowledgeBase kb, const QueryContext* prior,
-    bool caching_enabled) {
+std::shared_ptr<KbSnapshot> KbCatalog::BuildSnapshot(const std::string& name,
+                                                     KnowledgeBase kb,
+                                                     const KbSnapshot* prior,
+                                                     bool* patched) {
   auto snapshot = std::make_shared<KbSnapshot>();
   snapshot->name = name;
   snapshot->kb = std::move(kb);
   snapshot->context = std::make_shared<QueryContext>(
-      snapshot->kb.vocabulary(), snapshot->kb.AsFormula(), caching_enabled);
+      snapshot->kb.vocabulary(), snapshot->kb.AsFormula());
   // Service tenants re-ask the same sweep points for the KB's lifetime,
   // and a recorded world list is the unit ApplyDelta patches across
   // versions — record on first computation instead of second (never
   // changes an answer; see engines/world_cache.h).
-  snapshot->context->set_eager_world_recording(caching_enabled);
-  if (prior != nullptr) snapshot->context->AdoptCachesFrom(*prior);
+  snapshot->context->set_eager_world_recording(true);
+  if (prior != nullptr) {
+    snapshot->context->AdoptCachesFrom(*prior->context);
+    const bool applied = snapshot->context->ApplyDelta(
+        *prior->context, ComputeKbDelta(prior->kb, snapshot->kb));
+    if (patched != nullptr) *patched = applied;
+  }
   return snapshot;
 }
 
 std::shared_ptr<KbSnapshot> KbCatalog::MintSuccessor(const std::string& name,
                                                      KnowledgeBase kb,
                                                      const KbSnapshot& prior) {
-  std::shared_ptr<KbSnapshot> snapshot = BuildSnapshot(
-      name, std::move(kb), prior.context.get(), options_.caching_enabled);
-  if (options_.caching_enabled) {
-    KbDelta delta = ComputeKbDelta(prior.kb, snapshot->kb);
-    if (snapshot->context->ApplyDelta(*prior.context, delta)) {
-      patched_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      rebuilt_.fetch_add(1, std::memory_order_relaxed);
+  bool patched = false;
+  std::shared_ptr<KbSnapshot> snapshot =
+      BuildSnapshot(name, std::move(kb), &prior, &patched);
+  (patched ? patched_ : rebuilt_).fetch_add(1, std::memory_order_relaxed);
+  // Publish-when-warm: replay the predecessor's query log so everything
+  // those queries will need on the new version — including work the old
+  // version never did, like a sweep for a query the mutation knocked off a
+  // symbolic fast path — is computed HERE, before readers can pin this
+  // snapshot, not on the first post-mutation request.  Answers are
+  // discarded; the caches the replay fills are transparent, so the first
+  // real query is a hit with a bit-identical result.  The log carries
+  // forward so the next successor warms the same working set.
+  for (const auto& [query, opts] : prior.LoggedQueries()) {
+    try {
+      AnswerOnSnapshot(*snapshot, query, opts);
+    } catch (...) {
+      // Best-effort: a query that fails here fails identically (and
+      // reports its own error) when a client re-asks it.
     }
-    // Publish-when-warm: replay the predecessor's query log so everything
-    // those queries will need on the new version — including work the old
-    // version never did, like a sweep for a query the mutation knocked off
-    // a symbolic fast path — is computed HERE, before readers can pin this
-    // snapshot, not on the first post-mutation request.  Answers are
-    // discarded; the caches the replay fills are transparent, so the first
-    // real query is a hit with a bit-identical result.  The log carries
-    // forward so the next successor warms the same working set.
-    for (const auto& [query, opts] : prior.LoggedQueries()) {
-      try {
-        AnswerOnSnapshot(*snapshot, query, opts);
-      } catch (...) {
-        // Best-effort: a query that fails here fails identically (and
-        // reports its own error) when a client re-asks it.
-      }
-      snapshot->RecordQuery(query, opts);
-    }
+    snapshot->RecordQuery(query, opts);
   }
   return snapshot;
 }
@@ -100,8 +98,7 @@ KbCatalog::Evicted KbCatalog::InstallLocked(
     Chain* chain, std::shared_ptr<KbSnapshot> snapshot) {
   chain->versions.emplace(snapshot->version, std::move(snapshot));
   Evicted evicted;
-  while (chain->versions.size() > options_.retained_versions &&
-         options_.retained_versions > 0) {
+  while (chain->versions.size() > kRetainedVersions) {
     evicted.push_back(std::move(chain->versions.begin()->second));
     chain->versions.erase(chain->versions.begin());
   }
@@ -112,7 +109,7 @@ KbCatalog::Evicted KbCatalog::InstallLocked(
 std::shared_ptr<const KbSnapshot> KbCatalog::Load(
     const std::string& name, KnowledgeBase kb, const VersionHook& on_version) {
   std::shared_ptr<KbSnapshot> snapshot =
-      BuildSnapshot(name, std::move(kb), nullptr, options_.caching_enabled);
+      BuildSnapshot(name, std::move(kb), nullptr);
   decltype(chains_)::node_type replaced;  // released after the unlock
   Evicted evicted;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -154,7 +151,7 @@ MutationTicket KbCatalog::Mutate(
   };
   // Serialize writers on this tenant only; the catalog-wide mutex_ is
   // held just long enough to read and update chain state, so other
-  // tenants' Get() admissions never wait on this edit or build.
+  // tenants' Get() admissions never wait on this edit.
   std::shared_ptr<std::mutex> write_mutex;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -165,10 +162,10 @@ MutationTicket KbCatalog::Mutate(
     write_mutex = it->second.write_mutex;
   }
   std::lock_guard<std::mutex> write_lock(*write_mutex);
-  // Edit against the STAGED tail, not the published head: in background
-  // mode the head may lag acked mutations, and a later mutation must see
-  // every earlier ack (WAL order).  The copy is O(delta) — the conjunct
-  // list is a persistent vector.
+  // Edit against the STAGED tail, not the published head: the head may
+  // lag acked mutations, and a later mutation must see every earlier ack
+  // (WAL order).  The copy is O(delta) — the conjunct list is a
+  // persistent vector.
   KnowledgeBase next;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -181,39 +178,10 @@ MutationTicket KbCatalog::Mutate(
   std::string edit_error;
   if (!edit(&next, &edit_error)) return fail(edit_error);
 
-  if (!options_.background_maintenance) {
-    // Synchronous: build and publish the successor before acking.
-    std::shared_ptr<const KbSnapshot> head;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = chains_.find(name);
-      if (it == chains_.end() || it->second.write_mutex != write_mutex) {
-        return fail("knowledge base '" + name + "' was dropped or reloaded");
-      }
-      head = it->second.versions.rbegin()->second;
-    }
-    std::shared_ptr<KbSnapshot> snapshot =
-        MintSuccessor(name, std::move(next), *head);
-    Evicted evicted;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chains_.find(name);
-    if (it == chains_.end() || it->second.write_mutex != write_mutex) {
-      return fail("knowledge base '" + name + "' was dropped or reloaded");
-    }
-    snapshot->version = next_version_++;
-    it->second.staged_kb = snapshot->kb;
-    it->second.staged_version = snapshot->version;
-    ticket.ok = true;
-    ticket.version = snapshot->version;
-    if (on_version) on_version(snapshot->version);
-    evicted = InstallLocked(&it->second, std::move(snapshot));
-    return ticket;
-  }
-
-  // Background: fix the WAL order now (assign the version, advance the
-  // staged tail, journal/ship via the hook), hand the expensive successor
-  // build to the maintenance worker, and return.  Readers keep serving
-  // the published head until the warm successor is installed.
+  // Fix the WAL order now (assign the version, advance the staged tail,
+  // journal/ship via the hook), hand the expensive successor build to the
+  // maintenance worker, and return.  Readers keep serving the published
+  // head until the warm successor is installed.
   uint64_t version = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -285,33 +253,18 @@ KbCatalog::StagedState KbCatalog::Staged(const std::string& name) const {
 
 std::shared_ptr<const KbSnapshot> KbCatalog::StagedSnapshot(
     const std::string& name) const {
-  StagedState staged;
-  std::shared_ptr<const KbSnapshot> prior;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chains_.find(name);
-    if (it == chains_.end()) return nullptr;
-    staged.kb = it->second.staged_kb;  // O(delta) persistent-vector copy
-    staged.version = it->second.staged_version;
-    if (!it->second.versions.empty()) {
-      prior = it->second.versions.rbegin()->second;
-    }
-  }
+  StagedState staged = Staged(name);
+  if (!staged.ok) return nullptr;
+  std::shared_ptr<const KbSnapshot> prior = Get(name);
   // Same warm path as the worker's mint — adopt the published head's
   // caches and patch the delta — minus the query-log replay: the caller
   // has one concrete query to answer, so warming the rest of the working
   // set here would put exactly the work this fallback exists to avoid
   // back on the request path.  The service differential check covers the
   // adopt+patch path's bit-identity.
-  std::shared_ptr<KbSnapshot> snapshot = BuildSnapshot(
-      name, std::move(staged.kb),
-      prior != nullptr ? prior->context.get() : nullptr,
-      options_.caching_enabled);
+  std::shared_ptr<KbSnapshot> snapshot =
+      BuildSnapshot(name, std::move(staged.kb), prior.get());
   snapshot->version = staged.version;
-  if (prior != nullptr && options_.caching_enabled) {
-    KbDelta delta = ComputeKbDelta(prior->kb, snapshot->kb);
-    snapshot->context->ApplyDelta(*prior->context, delta);  // best effort
-  }
   return snapshot;
 }
 
@@ -334,43 +287,22 @@ std::vector<std::shared_ptr<const KbSnapshot>> KbCatalog::Heads() const {
 
 bool KbCatalog::WaitForVersion(const std::string& name, uint64_t version,
                                double timeout_ms) const {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              timeout_ms < 0 ? 0.0 : timeout_ms));
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
+  bool published = false;
+  util::WaitWithTimeout(install_cv_, lock, timeout_ms, [&] {
     auto it = chains_.find(name);
-    if (it == chains_.end() || it->second.versions.empty()) return false;
-    if (it->second.versions.rbegin()->second->version >= version) return true;
-    if (timeout_ms < 0) {
-      install_cv_.wait(lock);
-    } else if (install_cv_.wait_until(lock, deadline) ==
-               std::cv_status::timeout) {
-      auto again = chains_.find(name);
-      return again != chains_.end() && !again->second.versions.empty() &&
-             again->second.versions.rbegin()->second->version >= version;
-    }
-  }
+    if (it == chains_.end() || it->second.versions.empty()) return true;
+    published = it->second.versions.rbegin()->second->version >= version;
+    return published;
+  });
+  return published;
 }
 
 bool KbCatalog::DrainMaintenance(double timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(
-              timeout_ms < 0 ? 0.0 : timeout_ms));
   std::unique_lock<std::mutex> lock(maintenance_mutex_);
-  auto drained = [&] { return queue_.empty() && in_flight_ == 0; };
-  if (timeout_ms < 0) {
-    maintenance_cv_.wait(lock, drained);
-    return true;
-  }
-  // A deadline instead of the old deadlock: draining while PAUSED with
-  // work queued (catalog.h used to document this as a footgun) now just
-  // reports false when the clock runs out.
-  return maintenance_cv_.wait_until(lock, deadline, drained);
+  return util::WaitWithTimeout(maintenance_cv_, lock, timeout_ms, [&] {
+    return queue_.empty() && in_flight_ == 0;
+  });
 }
 
 void KbCatalog::PauseMaintenance() {
@@ -412,15 +344,11 @@ void KbCatalog::MaintenanceLoop() {
 #endif
   std::unique_lock<std::mutex> lock(maintenance_mutex_);
   for (;;) {
-    maintenance_cv_.wait(
-        lock, [&] { return stopping_ || (!paused_ && !queue_.empty()); });
-    if (queue_.empty()) {
-      if (stopping_) return;  // fully drained
-      continue;
-    }
     // On shutdown the queue is drained regardless of pause: every acked
     // mutation is published within the catalog's lifetime.
-    if (paused_ && !stopping_) continue;
+    maintenance_cv_.wait(
+        lock, [&] { return stopping_ || (!paused_ && !queue_.empty()); });
+    if (queue_.empty()) return;  // stopping, fully drained
     MaintenanceTask task = std::move(queue_.front());
     queue_.pop_front();
     ++in_flight_;

@@ -8,8 +8,8 @@
 // QueryContext full of derived caches — stays alive until the last pinned
 // reader drops it.
 //
-// A mutation copies the head KnowledgeBase (O(delta): the conjunct list is
-// a persistent vector), applies the edit, and installs a successor
+// A mutation copies the acked KnowledgeBase (O(delta): the conjunct list
+// is a persistent vector), applies the edit, and installs a successor
 // snapshot with a fresh QueryContext that ADOPTS the predecessor's caches
 // (QueryContext::AdoptCachesFrom) and, for signature-preserving appends,
 // PATCHES the expensive recorded world lists instead of letting them
@@ -23,16 +23,19 @@
 // on (formula, vocabulary), survive every mutation that leaves the
 // signature unchanged.
 //
-// Maintenance modes.  In the default synchronous mode a mutation builds
-// and publishes its successor before returning.  With
-// CatalogOptions::background_maintenance the expensive part — context
-// construction, cache adoption and delta patching — moves off the request
-// path: Mutate applies the edit to the chain's STAGED tail (the
-// authoritative post-ack state), assigns the version number (fixing the
-// WAL order), enqueues the build for the maintenance worker, and returns.
-// Readers keep serving the published head until the warm successor is
-// installed atomically; a query that must observe an acked version waits
-// with WaitForVersion.  Answers stay bit-identical to fresh
+// Maintenance.  The expensive part of a mutation — context construction,
+// cache adoption, delta patching and warming — runs on the catalog's
+// background maintenance worker, off the request path.  Mutate applies
+// the edit to the chain's STAGED tail (the authoritative post-ack state),
+// assigns the version number (fixing the WAL order), queues the build,
+// and returns.  Readers keep serving the published head until the warm
+// successor is installed atomically; a caller that must observe an acked
+// version waits with WaitForVersion.  Ack never waits on the worker: a
+// run of queued mutations on one chain COALESCES into a single successor
+// mint from the newest staged state (the queue holds at most one task per
+// chain), so the queue depth is bounded by the tenant count and acking is
+// O(edit) regardless of write pressure.  Durability is the WAL's job
+// (wal.h), not the queue's.  Answers stay bit-identical to fresh
 // single-threaded queries against whichever snapshot a reader pinned.
 #ifndef RWL_SERVICE_CATALOG_H_
 #define RWL_SERVICE_CATALOG_H_
@@ -88,33 +91,8 @@ struct KbSnapshot {
       query_log_;
 };
 
-struct CatalogOptions {
-  // Snapshot caches replay derived state across queries and adopted
-  // versions.  Off is for tests and measurement only — the differential
-  // `service` check deliberately runs with caching ON and compares
-  // against cache-free from-scratch rebuilds, which is exactly what
-  // proves the adopted caches never change an answer.
-  bool caching_enabled = true;
-  // Old versions retained for GetVersion lookups (pinned readers keep
-  // their snapshots alive regardless; this only bounds the catalog's own
-  // history index).
-  size_t retained_versions = 4;
-  // Build mutation successors on a background maintenance worker instead
-  // of on the mutating caller's thread (see the header comment).  The
-  // default is synchronous: embedders that never mutate under load — and
-  // the differential check, whose value is comparing the PUBLISHED state
-  // right after an ack — keep the simple model.  KbService turns this on.
-  //
-  // Ack never waits on the worker: a run of queued mutations on one chain
-  // COALESCES into a single successor mint from the newest staged state
-  // (the queue holds at most one task per chain), so the queue depth is
-  // bounded by the tenant count and acking is O(edit) regardless of write
-  // pressure.  Durability is the WAL's job (wal.h), not the queue's.
-  bool background_maintenance = false;
-};
-
-// The ack of a mutation: `version` is fixed (WAL order) even when the
-// successor snapshot is still being built in the background.
+// The ack of a mutation: `version` is fixed (WAL order) before the
+// maintenance worker builds the successor snapshot.
 struct MutationTicket {
   bool ok = false;
   uint64_t version = 0;
@@ -131,7 +109,8 @@ class KbCatalog {
   // not re-enter the catalog.
   using VersionHook = std::function<void(uint64_t version)>;
 
-  explicit KbCatalog(const CatalogOptions& options = {});
+  // Starts the maintenance worker.
+  KbCatalog();
   ~KbCatalog();
 
   KbCatalog(const KbCatalog&) = delete;
@@ -157,12 +136,10 @@ class KbCatalog {
   // `edit`, and on success acks the next version.  When `edit` returns
   // false nothing changes and the error rides back in the ticket.
   //
-  // Synchronous mode publishes the successor before returning: on ok the
-  // ticket's version IS the head.  Background mode returns once the edit
-  // is applied and the version assigned; the successor is published by the
-  // maintenance worker (WaitForVersion to observe it).  Either way later
-  // mutations see this one: edits run against the staged tail, serialized
-  // per tenant.
+  // Returns once the edit is applied, the version assigned and the hook
+  // run; the successor is published by the maintenance worker
+  // (WaitForVersion to observe it).  Later mutations see this one: edits
+  // run against the staged tail, serialized per tenant.
   MutationTicket Mutate(
       const std::string& name,
       const std::function<bool(KnowledgeBase*, std::string*)>& edit,
@@ -214,9 +191,8 @@ class KbCatalog {
                       double timeout_ms = -1.0) const;
 
   // Blocks until the maintenance queue is empty and the worker idle.
-  // Returns false on deadline expiry (`timeout_ms` >= 0) — including the
-  // once-deadlocking footgun of draining while PAUSED with work still
-  // queued, which now simply times out.
+  // Returns false on deadline expiry (`timeout_ms` >= 0), which is how a
+  // drain while PAUSED with work still queued ends.
   bool DrainMaintenance(double timeout_ms = -1.0);
 
   // Deterministically holds the async publication window open for tests:
@@ -236,6 +212,11 @@ class KbCatalog {
   MaintenanceStats maintenance_stats() const;
 
  private:
+  // Old versions retained for GetVersion lookups (pinned readers keep
+  // their snapshots alive regardless; this only bounds the catalog's own
+  // history index).
+  static constexpr size_t kRetainedVersions = 4;
+
   struct Chain {
     // version -> snapshot; the last entry is the published head.
     std::map<uint64_t, std::shared_ptr<const KbSnapshot>> versions;
@@ -244,9 +225,8 @@ class KbCatalog {
     // Written only at chain creation and under write_mutex.
     KnowledgeBase staged_kb;
     uint64_t staged_version = 0;
-    // Serializes writers per tenant so the copy-on-write edit (and, in
-    // synchronous mode, the whole successor build) runs OUTSIDE the
-    // catalog-wide mutex_ — one tenant's mutation must not stall other
+    // Serializes writers per tenant so the copy-on-write edit runs OUTSIDE
+    // the catalog-wide mutex_ — one tenant's mutation must not stall other
     // tenants' snapshot pins.  The pointer identity doubles as the chain
     // token: a concurrent re-Load mints a new chain (and mutex), which an
     // in-flight mutation or queued maintenance task detects and discards.
@@ -261,13 +241,16 @@ class KbCatalog {
     uint64_t version = 0;  // preassigned at ack time
   };
 
-  // Builds a snapshot (version assigned by the caller).  Lock-free.
-  static std::shared_ptr<KbSnapshot> BuildSnapshot(
-      const std::string& name, KnowledgeBase kb, const QueryContext* prior,
-      bool caching_enabled);
+  // Builds a snapshot (version assigned by the caller) whose context
+  // adopts `prior`'s caches and patches the delta from `prior`'s KB;
+  // *patched reports whether the patch applied.  Lock-free.
+  static std::shared_ptr<KbSnapshot> BuildSnapshot(const std::string& name,
+                                                   KnowledgeBase kb,
+                                                   const KbSnapshot* prior,
+                                                   bool* patched = nullptr);
 
-  // BuildSnapshot + delta patching against the predecessor (the successor
-  // minting both modes share).
+  // The maintenance worker's successor build: BuildSnapshot against the
+  // predecessor, then the query-log warming replay.
   std::shared_ptr<KbSnapshot> MintSuccessor(const std::string& name,
                                             KnowledgeBase kb,
                                             const KbSnapshot& prior);
@@ -278,14 +261,13 @@ class KbCatalog {
   using Evicted = std::vector<std::shared_ptr<const KbSnapshot>>;
 
   // Publishes an already-versioned snapshot and wakes WaitForVersion;
-  // returns the versions evicted past retained_versions.
+  // returns the versions evicted past kRetainedVersions.
   [[nodiscard]] Evicted InstallLocked(Chain* chain,
                                       std::shared_ptr<KbSnapshot> snapshot);
 
   void MaintenanceLoop();
   void ProcessTask(MaintenanceTask task);
 
-  CatalogOptions options_;
   mutable std::mutex mutex_;
   mutable std::condition_variable install_cv_;  // with mutex_: publications
   std::map<std::string, Chain> chains_;

@@ -1,35 +1,19 @@
 #include "src/service/replica.h"
 
 #include <algorithm>
-#include <chrono>
+
+#include "src/util/thread_pool.h"
 
 namespace rwl::service {
 
-namespace {
-std::chrono::steady_clock::time_point DeadlineFromMs(double timeout_ms) {
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double, std::milli>(
-                 timeout_ms < 0 ? 0.0 : timeout_ms));
-}
-}  // namespace
-
 bool ReplicationSubscription::Next(std::string* line, double timeout_ms) {
-  const auto deadline = DeadlineFromMs(timeout_ms);
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (!lines_.empty()) {
-      *line = std::move(lines_.front());
-      lines_.pop_front();
-      return true;
-    }
-    if (closed_) return false;
-    if (timeout_ms < 0) {
-      cv_.wait(lock);
-    } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      if (lines_.empty()) return false;
-    }
-  }
+  util::WaitWithTimeout(cv_, lock, timeout_ms,
+                        [&] { return !lines_.empty() || closed_; });
+  if (lines_.empty()) return false;
+  *line = std::move(lines_.front());
+  lines_.pop_front();
+  return true;
 }
 
 bool ReplicationSubscription::closed() const {
@@ -136,25 +120,16 @@ bool ReplicaApplier::ApplyLine(const std::string& line, std::string* error) {
 bool ReplicaApplier::WaitForPrimaryVersion(const std::string& kb,
                                            uint64_t version, double timeout_ms,
                                            uint64_t* local_version) const {
-  const auto deadline = DeadlineFromMs(timeout_ms);
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    auto it = applied_.find(kb);
-    if (it != applied_.end() && it->second.primary >= version) {
-      *local_version = it->second.local;
-      return true;
-    }
-    if (timeout_ms < 0) {
-      cv_.wait(lock);
-    } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      it = applied_.find(kb);
-      if (it != applied_.end() && it->second.primary >= version) {
-        *local_version = it->second.local;
-        return true;
-      }
-      return false;
-    }
+  auto it = applied_.end();
+  if (!util::WaitWithTimeout(cv_, lock, timeout_ms, [&] {
+        it = applied_.find(kb);
+        return it != applied_.end() && it->second.primary >= version;
+      })) {
+    return false;
   }
+  *local_version = it->second.local;
+  return true;
 }
 
 std::map<std::string, ReplicaApplier::KbVersions>

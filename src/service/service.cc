@@ -38,9 +38,7 @@ bool CheckClosed(const logic::FormulaPtr& formula, const char* what,
 }  // namespace
 
 KbService::KbService(const ServiceOptions& options)
-    : options_(options),
-      catalog_(options.catalog),
-      scheduler_(options.scheduler) {
+    : options_(options), scheduler_(options.scheduler) {
   if (!options_.wal.dir.empty()) {
     wal_ = std::make_unique<KbWal>(options_.wal);
     snapshot_thread_ = std::thread(&KbService::SnapshotLoop, this);

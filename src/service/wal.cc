@@ -414,8 +414,7 @@ bool ApplyWalRecord(KbCatalog* catalog, const WalRecord& record,
                                          std::string* edit_error) {
             // Route through the state-apply helper so replica, recovery
             // and live semantics cannot drift.
-            auto holder = std::make_unique<KnowledgeBase>(std::move(*kb));
-            std::unique_ptr<KnowledgeBase> state = std::move(holder);
+            auto state = std::make_unique<KnowledgeBase>(std::move(*kb));
             if (!ApplyRecordToState(record, &state, edit_error)) return false;
             *kb = std::move(*state);
             return true;
@@ -638,7 +637,10 @@ bool KbWal::WriteSnapshot(const std::string& kb, uint64_t version,
   // the closed segments can be deleted once the snapshot is durable.
   uint64_t current_index;
   {
-    std::lock_guard<std::mutex> lock(writer->mutex);
+    // A group-commit leader writes to the fd outside the lock (Sync): let
+    // it finish before the fd is flushed and closed under it.
+    std::unique_lock<std::mutex> lock(writer->mutex);
+    writer->cv.wait(lock, [&] { return !writer->syncing; });
     if (writer->fd >= 0) {
       // Pending-but-unsynced bytes belong to unacked mutations; flush so
       // the close loses nothing (they are > version and stay replayable).
@@ -739,7 +741,8 @@ void KbWal::Remove(const std::string& kb) {
   }
   std::string dir = options_.dir + "/" + EscapeKbName(kb);
   if (writer != nullptr) {
-    std::lock_guard<std::mutex> lock(writer->mutex);
+    std::unique_lock<std::mutex> lock(writer->mutex);
+    writer->cv.wait(lock, [&] { return !writer->syncing; });  // as above
     if (writer->fd >= 0) {
       ::close(writer->fd);
       writer->fd = -1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -28,6 +29,37 @@ namespace {
 
 using engines::FiniteEngine;
 using engines::FiniteResult;
+
+// How long the service and replica checks wait for the maintenance worker
+// to publish an acked version before reporting it as lost.
+constexpr double kPublishTimeoutMs = 60000.0;
+
+// Empty once `catalog` publishes `version` of "diff"; otherwise why not.
+std::string Unpublished(const service::KbCatalog& catalog, uint64_t version) {
+  if (catalog.WaitForVersion("diff", version, kPublishTimeoutMs)) return "";
+  return "acked v" + std::to_string(version) + " was never published";
+}
+
+// The service and replica checks' mutation mix: 0 retracts a conjunct,
+// 1 re-asserts a retracted one, 2 asserts the sequence's one fact about a
+// fresh constant.  Each op falls back to the next one that is possible.
+int ChooseMutation(std::mt19937_64* rng, size_t num_conjuncts,
+                   bool any_retracted, bool asserted_fresh) {
+  int op = static_cast<int>((*rng)() % 3);
+  if (op == 0 && num_conjuncts == 0) op = 1;
+  if (op == 1 && !any_retracted) op = 2;
+  if (op == 2 && asserted_fresh) op = num_conjuncts > 0 ? 0 : 1;
+  return op;
+}
+
+// The fresh fact's predicate: the first unary one, or "" when none (the
+// op is then skipped).
+std::string FirstUnaryPredicate(const logic::Vocabulary& vocabulary) {
+  for (const auto& predicate : vocabulary.predicates()) {
+    if (predicate.arity == 1) return predicate.name;
+  }
+  return "";
+}
 
 // Bit-level equality: the caching path (memo / record-replay) is required
 // to reproduce the caching-off computation exactly, not just approximately.
@@ -264,7 +296,8 @@ void RunVmCheck(const Scenario& scenario, const DifferentialOptions& options,
 // pseudo-random mutation sequence (retract a conjunct / re-assert a
 // retracted one / assert a vocabulary-extending fresh fact), then checks
 // that the incrementally-maintained head — whose QueryContext was seeded
-// by AdoptCachesFrom across every version — answers each query
+// by AdoptCachesFrom across every version, each minted by the catalog's
+// maintenance worker — answers each query
 // BIT-IDENTICALLY to a KnowledgeBase rebuilt from scratch with the same
 // conjuncts and vocabulary.  A version pinned mid-sequence is checked the
 // same way: its caches must not have leaked entries from any other
@@ -294,56 +327,56 @@ void RunServiceCheck(const Scenario& scenario,
   for (int step = 0; step < options.service_mutations; ++step) {
     std::shared_ptr<const service::KbSnapshot> head = catalog.Get("diff");
     const size_t num_conjuncts = head->kb.conjuncts().size();
-    // Op choice: retract when possible, re-assert when possible, and one
-    // vocabulary-extending fresh fact per sequence.
-    int op = static_cast<int>(rng() % 3);
-    if (op == 0 && num_conjuncts == 0) op = 1;
-    if (op == 1 && retracted.empty()) op = 2;
-    if (op == 2 && asserted_fresh) op = num_conjuncts > 0 ? 0 : 1;
-
+    const int op = ChooseMutation(&rng, num_conjuncts, !retracted.empty(),
+                                  asserted_fresh);
+    std::function<bool(KnowledgeBase*, std::string*)> edit;
     if (op == 0 && num_conjuncts > 0) {
       const size_t victim = rng() % num_conjuncts;
-      logic::FormulaPtr formula = head->kb.conjuncts()[victim];
-      catalog.Mutate(
-          "diff", [&](KnowledgeBase* kb, std::string*) {
-            // The service's RETRACT semantics (vocabulary preserved),
-            // through the same shared helper KbService::Retract uses.
-            service::RetractConjuncts(
-                kb, [&](size_t i, const logic::FormulaPtr&) {
-                  return i == victim;
-                });
-            return true;
-          });
-      retracted.push_back(formula);
+      retracted.push_back(head->kb.conjuncts()[victim]);
+      edit = [victim](KnowledgeBase* kb, std::string*) {
+        // The service's RETRACT semantics (vocabulary preserved), through
+        // the same shared helper KbService::Retract uses.
+        service::RetractConjuncts(kb, [&](size_t i, const logic::FormulaPtr&) {
+          return i == victim;
+        });
+        return true;
+      };
     } else if (op == 1 && !retracted.empty()) {
       const size_t index = rng() % retracted.size();
       logic::FormulaPtr formula = retracted[index];
       retracted.erase(retracted.begin() + static_cast<long>(index));
-      catalog.Mutate(
-          "diff", [&](KnowledgeBase* kb, std::string*) {
-            kb->Add(formula);
-            return true;
-          });
+      edit = [formula](KnowledgeBase* kb, std::string*) {
+        kb->Add(formula);
+        return true;
+      };
     } else if (op == 2 && !asserted_fresh) {
       // A fact about a fresh CONSTANT over an existing unary predicate:
       // the successor vocabulary fingerprint changes, so compiled
       // programs must not be adopted across this step.  (A fresh
       // predicate would double the profile engine's atom classes and
       // blow up the from-scratch rebuilds; a constant grows placements
-      // linearly.)  Scenarios with no unary predicate skip the op.
+      // linearly.)
       asserted_fresh = true;
-      std::string unary;
-      for (const auto& predicate : head->kb.vocabulary().predicates()) {
-        if (predicate.arity == 1) {
-          unary = predicate.name;
-          break;
-        }
-      }
+      const std::string unary = FirstUnaryPredicate(head->kb.vocabulary());
       if (!unary.empty()) {
-        catalog.Mutate(
-            "diff", [&](KnowledgeBase* kb, std::string* edit_error) {
-              return kb->AddParsed(unary + "(ZzSvcC)", edit_error);
-            });
+        edit = [fact = unary + "(ZzSvcC)"](KnowledgeBase* kb,
+                                           std::string* edit_error) {
+          return kb->AddParsed(fact, edit_error);
+        };
+      }
+    }
+    if (edit) {
+      // Every mutation must ack and then publish: the next step reads the
+      // published head.
+      service::MutationTicket ticket = catalog.Mutate("diff", edit);
+      const std::string why = ticket.ok
+                                  ? Unpublished(catalog, ticket.version)
+                                  : "mutation failed: " + ticket.error;
+      if (!why.empty()) {
+        report->disagreements.push_back(
+            Disagreement{"service", "mutation@step" + std::to_string(step),
+                         "published-head", nullptr, 0, why});
+        return;
       }
     }
     if (step == 0) pinned = catalog.Get("diff");
@@ -383,40 +416,30 @@ void RunServiceCheck(const Scenario& scenario,
                                   std::to_string(pinned->version));
   }
 
-  // Async publication window: with background maintenance on and the
-  // worker paused, an acked signature-preserving append must leave
-  // readers on the OLD published head — still bit-identical to that KB's
-  // from-scratch rebuild — and the successor, once published, must be
-  // bit-identical to the new KB's rebuild (its caches were adopted AND
-  // delta-patched off the request path).
+  // Async publication window: with the maintenance worker paused, an
+  // acked signature-preserving append must leave readers on the head just
+  // compared, and the successor, once published, must be bit-identical to
+  // the new KB's rebuild (its caches, filled by the comparison above, were
+  // adopted AND delta-patched off the request path).
   if (!base.conjuncts().empty()) {
-    service::CatalogOptions async_options;
-    async_options.background_maintenance = true;
-    service::KbCatalog async_catalog(async_options);
-    async_catalog.Load("diff", base);
-    async_catalog.PauseMaintenance();
-    std::shared_ptr<const service::KbSnapshot> loaded =
-        async_catalog.Get("diff");
-    service::MutationTicket ticket = async_catalog.Mutate(
-        "diff", [&](KnowledgeBase* kb, std::string*) {
-          kb->Add(base.conjuncts()[0]);  // signature-preserving append
+    catalog.PauseMaintenance();
+    service::MutationTicket ticket =
+        catalog.Mutate("diff", [&](KnowledgeBase* kb, std::string*) {
+          kb->Add(base.conjuncts()[0]);
           return true;
         });
-    std::shared_ptr<const service::KbSnapshot> during =
-        async_catalog.Get("diff");
-    if (!ticket.ok || during->version != loaded->version) {
+    const bool window_held = ticket.ok && catalog.Get("diff") == head;
+    catalog.ResumeMaintenance();
+    const std::string why =
+        window_held ? Unpublished(catalog, ticket.version)
+                    : "acked mutation visible before the maintenance worker "
+                      "published it (or ack failed)";
+    if (!why.empty()) {
       report->disagreements.push_back(Disagreement{
-          "service", "async-window", "published-head", nullptr, 0,
-          "acked mutation visible before the maintenance worker published "
-          "it (or ack failed)"});
-    } else {
-      compare_snapshot(*during, "async-window@v" +
-                                    std::to_string(during->version));
+          "service", "async-window", "published-head", nullptr, 0, why});
+      return;
     }
-    async_catalog.ResumeMaintenance();
-    async_catalog.WaitForVersion("diff", ticket.version);
-    std::shared_ptr<const service::KbSnapshot> published =
-        async_catalog.Get("diff");
+    std::shared_ptr<const service::KbSnapshot> published = catalog.Get("diff");
     compare_snapshot(*published, "async-published@v" +
                                      std::to_string(published->version));
   }
@@ -484,10 +507,8 @@ void RunReplicaCheck(const Scenario& scenario,
   for (int step = 0; step < options.service_mutations; ++step) {
     std::shared_ptr<const service::KbSnapshot> head = primary.Get("diff");
     const size_t num_conjuncts = head->kb.conjuncts().size();
-    int op = static_cast<int>(rng() % 3);
-    if (op == 0 && num_conjuncts == 0) op = 1;
-    if (op == 1 && retracted.empty()) op = 2;
-    if (op == 2 && asserted_fresh) op = num_conjuncts > 0 ? 0 : 1;
+    const int op = ChooseMutation(&rng, num_conjuncts, !retracted.empty(),
+                                  asserted_fresh);
 
     service::WalRecord record;
     record.kb = "diff";
@@ -503,13 +524,7 @@ void RunReplicaCheck(const Scenario& scenario,
       retracted.erase(retracted.begin() + static_cast<long>(index));
     } else {
       asserted_fresh = true;
-      std::string unary;
-      for (const auto& predicate : head->kb.vocabulary().predicates()) {
-        if (predicate.arity == 1) {
-          unary = predicate.name;
-          break;
-        }
-      }
+      const std::string unary = FirstUnaryPredicate(head->kb.vocabulary());
       if (unary.empty()) continue;  // no unary predicate: skip the op
       record.op = service::WalRecord::Op::kAssert;
       record.text = unary + "(ZzRepC)";
@@ -537,20 +552,33 @@ void RunReplicaCheck(const Scenario& scenario,
       return;
     }
 
+    // Version-vector handoff: a client that acked `primary_version` pins
+    // the replica's mapped local version.  Both catalogs publish on their
+    // maintenance workers, so wait for each head before the next step
+    // reads it and before the step-0 pin.
+    uint64_t local_version = 0;
+    if (!applier.WaitForPrimaryVersion("diff", primary_version,
+                                       /*timeout_ms=*/1000.0,
+                                       &local_version)) {
+      fail("handoff", "WaitForPrimaryVersion timed out for an already "
+                      "applied version");
+      return;
+    }
+    std::string why = Unpublished(primary, primary_version);
+    if (why.empty()) why = Unpublished(replica_kbs, local_version);
+    if (!why.empty()) {
+      fail("publish", why);
+      return;
+    }
     if (step == 0) {
-      // Version-vector handoff for the mid-sequence pin: a client that
-      // acked `primary_version` pins the replica's mapped local version.
       pinned_primary_version = primary_version;
       pinned_primary = primary.Get("diff");
-      uint64_t local_version = 0;
-      if (!applier.WaitForPrimaryVersion("diff", primary_version,
-                                         /*timeout_ms=*/1000.0,
-                                         &local_version)) {
-        fail("handoff", "WaitForPrimaryVersion timed out for an already "
-                        "applied version");
+      pinned_replica = replica_kbs.GetVersion("diff", local_version);
+      if (pinned_replica == nullptr) {
+        fail("handoff", "replica v" + std::to_string(local_version) +
+                            " is not retained");
         return;
       }
-      pinned_replica = replica_kbs.GetVersion("diff", local_version);
     }
   }
 
@@ -589,7 +617,7 @@ void RunReplicaCheck(const Scenario& scenario,
   }
   compare_pair(*primary_head, *replica_head,
                "replica-head@v" + std::to_string(replica_head->version));
-  if (pinned_primary != nullptr && pinned_replica != nullptr &&
+  if (pinned_primary != nullptr &&
       pinned_primary_version != primary_head->version) {
     compare_pair(*pinned_primary, *pinned_replica,
                  "replica-pinned@primary-v" +

@@ -4,20 +4,25 @@
 // Pr_N^τ at every point of an (N, τ-scale) grid; the points are
 // independent, so they are farmed out to a transient pool and the serial
 // convergence reduction runs over the precomputed grid afterwards.  The
-// pool is deliberately minimal: spawn, drain an atomic work counter, join.
+// pool is deliberately minimal: spawn, drain a shared work counter, join.
 // Exceptions in a task are caught and rethrown on Run's caller thread.
+// A ParallelFor called from inside another's task spawns no threads: a
+// pooled sweep whose points shard their own work (the exact and
+// Monte-Carlo engines) runs those shards on the sweep's threads, which
+// take them up once no grid point is left to start.
 //
 // WorkerPool: a persistent pool for the query scheduler
 // (service/scheduler.h) — tasks are submitted continuously over the
 // process lifetime instead of batched, so the threads are spawned once
 // and parked on a condition variable between tasks.
+//
+// WaitWithTimeout: the service layer's bounded condition waits.
 #ifndef RWL_UTIL_THREAD_POOL_H_
 #define RWL_UTIL_THREAD_POOL_H_
 
-#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -38,39 +43,25 @@ inline int EffectiveThreads(int requested, int count) {
 
 // Runs fn(0) .. fn(count-1) on up to `num_threads` workers (0 = auto).
 // Blocks until every task has finished.  With a single worker the tasks run
-// inline on the calling thread, in index order.
-inline void ParallelFor(int num_threads, int count,
-                        const std::function<void(int)>& fn) {
-  if (count <= 0) return;
-  int threads = EffectiveThreads(num_threads, count);
-  if (threads <= 1) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
+// inline on the calling thread, in index order.  A call made from inside a
+// task spawns no threads: it queues its tasks for the outer call's threads,
+// which take them up once the outer tasks are all claimed, and the caller
+// runs them too until none is left.
+void ParallelFor(int num_threads, int count,
+                 const std::function<void(int)>& fn);
+
+// Waits on `cv` (holding `lock`) until `ready()` holds; a negative
+// `timeout_ms` waits forever.  Returns ready()'s value when the wait ends.
+template <typename Ready>
+bool WaitWithTimeout(std::condition_variable& cv,
+                     std::unique_lock<std::mutex>& lock, double timeout_ms,
+                     Ready ready) {
+  if (timeout_ms >= 0) {
+    return cv.wait_for(
+        lock, std::chrono::duration<double, std::milli>(timeout_ms), ready);
   }
-  std::atomic<int> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  auto worker = [&]() {
-    while (!failed.load(std::memory_order_relaxed)) {
-      int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (int t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& thread : pool) thread.join();
-  if (error) std::rethrow_exception(error);
+  cv.wait(lock, ready);
+  return true;
 }
 
 // A persistent FIFO worker pool.  Submit() never blocks; the destructor

@@ -5,7 +5,13 @@
 // must be bit-identical at every thread count.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <random>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/core/query_context.h"
@@ -17,6 +23,7 @@
 #include "src/semantics/compile.h"
 #include "src/semantics/evaluator.h"
 #include "src/semantics/vm.h"
+#include "src/util/thread_pool.h"
 #include "src/workload/generators.h"
 
 namespace rwl::semantics {
@@ -304,6 +311,67 @@ TEST(CompiledVm, MonteCarloBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.log_numerator, b.log_numerator) << "N=" << n;
     EXPECT_EQ(a.log_denominator, b.log_denominator) << "N=" << n;
   }
+}
+
+TEST(CompiledVm, NestedParallelForRunsOnTheOuterPoolsThreads) {
+  // A pooled sweep calls the sharded engines from its workers: their
+  // shards must run on the sweep's threads, not spawn a pool per point.
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> ran{0};
+  util::ParallelFor(4, 4, [&](int) {
+    util::ParallelFor(4, 4, [&](int) {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      running.fetch_sub(1);
+      ran.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_LE(peak.load(), 4);
+}
+
+TEST(CompiledVm, NestedParallelForIsHelpedByIdleOuterWorkers) {
+  // One heavy grid point among cheap ones: the outer worker left idle must
+  // take up its shards.  The first shard waits (10 s at most) for a second
+  // one to run beside it; that happens only if the idle worker helps.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int running = 0;
+  bool settled = false;
+  bool helped = false;
+  util::ParallelFor(2, 2, [&](int point) {
+    if (point == 0) return;
+    util::ParallelFor(4, 4, [&](int) {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++running;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10),
+                  [&] { return settled || running >= 2; });
+      if (!settled) {
+        settled = true;
+        helped = running >= 2;
+        cv.notify_all();
+      }
+      --running;
+    });
+  });
+  EXPECT_TRUE(helped);
+}
+
+TEST(CompiledVm, NestedParallelForRethrowsAShardFailure) {
+  EXPECT_THROW(util::ParallelFor(2, 2,
+                                 [](int point) {
+                                   util::ParallelFor(2, 4, [&](int shard) {
+                                     if (point == 1 && shard == 2) {
+                                       throw std::runtime_error("shard");
+                                     }
+                                   });
+                                 }),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -348,6 +348,26 @@ TEST(PlannerTest, OnlyTheProfileSweepDeclaresAnUnsatisfiableKbUndefined) {
   }
 }
 
+TEST(PlannerTest, ExactFindsNoWorldsWhereLargerDomainsHaveThem) {
+  // Why only the profile row may answer kUndefined: exact sweeps only
+  // N <= 6, where no fraction k/N lies within 0.02 of 0.37 (the nearest,
+  // 1/3 and 2/5, are 0.03 off), yet the KB has worlds at larger N and
+  // Pr_∞(P(A)) = 0.37 (Theorem 5.16).
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.AddParsed("#(P(x))[x] ~= 0.37\nQ(A)\n"));
+  InferenceOptions options = FastOptions();
+  options.tolerances = semantics::ToleranceVector::Uniform(0.02);
+
+  options.force_engine = "exact";
+  Answer exact = DegreeOfBelief(kb, "P(A)", options);
+  EXPECT_EQ(exact.status, Answer::Status::kUnknown);
+
+  options.force_engine = "profile";
+  Answer profile = DegreeOfBelief(kb, "P(A)", options);
+  ASSERT_EQ(profile.status, Answer::Status::kPoint);
+  EXPECT_NEAR(profile.value, 0.37, 0.01);
+}
+
 TEST(PlannerTest, CalibratedExactSweepPredictsExactsError) {
   // Off the unary fragment calibrated sweeps with the exact engine, so it
   // predicts the exact strategy's error, finite-size floor included.
